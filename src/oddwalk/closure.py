@@ -13,14 +13,13 @@ functionals useful as separators and as the engine of the pivot-edge search.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import HypothesisError, InputError, ParseError, ViolationError
 from .graph import Graph, canon_edge, is_bipartite
-
-C4_IN_TARGET = "C4_IN_TARGET"
-PHI_IN_SOURCE = "PHI_IN_SOURCE"
 
 
 @dataclass(frozen=True)
@@ -30,6 +29,10 @@ class GraphHom:
     source: Graph
     target: Graph
     mapping: tuple[int, ...]
+    # phi_partition's result, built on first use
+    _pullback: Optional["ClosurePartition"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.mapping) != self.source.n:
@@ -126,34 +129,17 @@ class EdgeMultiset:
         )
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # deterministic: smaller canonical key wins as representative
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-@dataclass
+@dataclass(frozen=True)
 class ClosurePartition:
     """Partition of a graph's edges, either by the 4-cycle relation in the
-    graph itself (C4_IN_TARGET) or by pulling target classes back along a
-    homomorphism and splitting into connected pieces (PHI_IN_SOURCE)."""
+    graph itself (`c4_partition`) or by pulling target classes back along a
+    homomorphism and splitting into connected pieces (`phi_partition`).
 
-    kind: str
+    Classes are numbered by their smallest edge.  Partitions are cached on
+    the graph or homomorphism they were built for and shared by every
+    caller, so they are read-only.
+    """
+
     owner: Graph
     class_of: dict
     classes: tuple[frozenset, ...]
@@ -166,7 +152,8 @@ class ClosurePartition:
 
     def is_stable(self, edge_set: frozenset) -> bool:
         """True iff the set is a union of whole classes."""
-        return all(self.classes[self.class_of[e]] <= edge_set for e in edge_set)
+        hits = Counter(self.class_of[e] for e in edge_set)
+        return all(len(self.classes[cid]) == k for cid, k in hits.items())
 
     def dump(self) -> str:
         lines = []
@@ -176,58 +163,152 @@ class ClosurePartition:
         return "\n".join(lines) + "\n"
 
 
-def _finish_partition(kind: str, owner: Graph, uf: _UnionFind, keys) -> ClosurePartition:
-    groups: dict = {}
-    for e in keys:
-        groups.setdefault(uf.find(e), []).append(e)
-    ordered = sorted(groups.values(), key=lambda es: min(es))
-    class_of = {}
-    classes = []
-    for cid, es in enumerate(ordered):
-        classes.append(frozenset(es))
-        for e in es:
-            class_of[e] = cid
-    return ClosurePartition(kind, owner, class_of, tuple(classes))
+def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label each of `count` items with the smallest item joined to it
+    through the pairs (a[i], b[i]).
+
+    Union-find over arrays: every round hooks the larger root of each
+    unmerged pair under the smaller one, then jumps pointers until every
+    label is a root again.  Pointers only ever decrease, so each component
+    ends up labelled by its minimum.
+    """
+    labels = np.arange(count)
+    while True:
+        la, lb = labels[a], labels[b]
+        open_ = la != lb
+        if not open_.any():
+            return labels
+        a, b, la, lb = a[open_], b[open_], la[open_], lb[open_]
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
+def _dense_components(adjacent: np.ndarray) -> np.ndarray:
+    """Smallest index in each row's component of a symmetric boolean
+    matrix, by min-label propagation with pointer jumping (faster than
+    `_components` on the dense wedge matrices of one vertex)."""
+    d = len(adjacent)
+    labels = np.arange(d)
+    while True:
+        step = np.minimum(labels, np.where(adjacent, labels, d).min(axis=1))
+        step = step[step]
+        if np.array_equal(step, labels):
+            return labels
+        labels = step
+
+
+def _c4_pairs(h: Graph) -> np.ndarray:
+    """Boolean n x n matrix of the vertex pairs u != w with at least two
+    common neighbors, from the codegree matrix A.A.  The float32 product
+    is exact: codegrees stay far below 2**24."""
+    a = np.zeros((h.n, h.n), dtype=np.float32)
+    if h.edges:
+        ends = np.array(h.edges)
+        a[ends[:, 0], ends[:, 1]] = 1.0
+        a[ends[:, 1], ends[:, 0]] = 1.0
+    pairs = (a @ a) >= 2
+    np.fill_diagonal(pairs, False)
+    return pairs
+
+
+def c4_bundles(h: Graph) -> list[tuple[int, int, list[int]]]:
+    """Bundles (u, w, sorted common neighbors) for every pair u < w with at
+    least two common neighbors, pairs in lexicographic order.  Each bundle's
+    edges lie pairwise on shared 4-cycles, and the bundles generate the
+    4-cycle relation."""
+    us, ws = np.nonzero(np.triu(_c4_pairs(h), 1))
+    return [(u, w, sorted(h.adj[u] & h.adj[w])) for u, w in zip(us.tolist(), ws.tolist())]
+
+
+def _c4_labels(h: Graph) -> np.ndarray:
+    """Per edge id (index into h.edges), the smallest edge id of its class.
+
+    Edges (x, u) and (x, w) lie on a common 4-cycle x-u-y-w exactly when u
+    and w have a common neighbor y other than x, i.e. codegree >= 2, and
+    these wedges generate the relation (a bundle's edges are all joined
+    through wedges at u, w and the common neighbors).  At each vertex x only
+    a spanning forest of the wedges is merged: the edge to each neighbor
+    joins the edge to the smallest neighbor of its component in the
+    codegree >= 2 graph on N(x).  That is at most deg(x) - 1 pairs per
+    vertex, O(m) in all.
+    """
+    m = len(h.edges)
+    pairs = _c4_pairs(h)
+    ends = np.array(h.edges, dtype=np.int64).reshape(-1, 2)
+    # darts sorted by tail, then head: each vertex's sorted neighbors and edge ids
+    tail = np.concatenate([ends[:, 0], ends[:, 1]])
+    head = np.concatenate([ends[:, 1], ends[:, 0]])
+    order = np.lexsort((head, tail))
+    head, eid = head[order], np.tile(np.arange(m), 2)[order]
+    bounds = np.searchsorted(tail[order], np.arange(h.n + 1))
+    left, right = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for x in range(h.n):
+        lo, hi = bounds[x], bounds[x + 1]
+        if hi - lo < 2:
+            continue
+        nbrs, ids = head[lo:hi], eid[lo:hi]
+        root = _dense_components(pairs[nbrs][:, nbrs])
+        moved = np.flatnonzero(root != np.arange(hi - lo))
+        left.append(ids[moved])
+        right.append(ids[root[moved]])
+    return _components(m, np.concatenate(left), np.concatenate(right))
+
+
+def _partition(owner: Graph, labels: np.ndarray) -> ClosurePartition:
+    """Partition from per-edge labels; classes numbered by smallest edge."""
+    roots, cids = np.unique(labels, return_inverse=True)
+    members: list[list] = [[] for _ in range(len(roots))]
+    for e, cid in zip(owner.edges, cids.tolist()):
+        members[cid].append(e)
+    class_of = {e: cid for cid, es in enumerate(members) for e in es}
+    return ClosurePartition(owner, class_of, tuple(frozenset(es) for es in members))
 
 
 def c4_partition(h: Graph) -> ClosurePartition:
     """Edge classes generated by co-membership in a 4-cycle.
 
-    For each vertex pair {u, w} with at least two common neighbors, every
-    edge from u or w into the common neighborhood lies on a shared 4-cycle,
-    so the whole bundle collapses into one class.  This generates exactly
-    the same equivalence as enumerating 4-cycles, in near-linear time.
+    Built once per graph and cached on it.  Cost: one n x n float32 matrix
+    product for the codegrees, O(deg(x)^2) array work per vertex x for its
+    wedge components (sum of deg^2 in all, vectorised), and an array
+    union-find over O(m) pairs; memory O(n^2) bytes plus O(m).
     """
-    uf = _UnionFind(h.edges)
-    for u in range(h.n):
-        for w in range(u + 1, h.n):
-            common = h.adj[u] & h.adj[w]
-            if len(common) < 2:
-                continue
-            bundle = [canon_edge(u, x) for x in common] + [canon_edge(w, x) for x in common]
-            first = bundle[0]
-            for e in bundle[1:]:
-                uf.union(first, e)
-    return _finish_partition(C4_IN_TARGET, h, uf, h.edges)
+    if h._c4_partition is None:
+        h._c4_partition = _partition(h, _c4_labels(h))
+    return h._c4_partition
 
 
 def phi_partition(phi: GraphHom) -> ClosurePartition:
-    """Connected pieces of the preimages of the target's 4-cycle classes."""
-    target_classes = c4_partition(phi.target)
-    uf = _UnionFind(phi.source.edges)
-    # group source edges by target class, then merge along shared vertices
-    by_class: dict[int, list] = {}
-    for e in phi.source.edges:
-        by_class.setdefault(target_classes.class_id(phi.edge_image(e)), []).append(e)
-    for edges in by_class.values():
-        incident: dict[int, tuple[int, int]] = {}
-        for e in edges:
-            for v in e:
-                if v in incident:
-                    uf.union(incident[v], e)
-                else:
-                    incident[v] = e
-    return _finish_partition(PHI_IN_SOURCE, phi.source, uf, phi.source.edges)
+    """Connected pieces of the preimages of the target's 4-cycle classes.
+
+    Built once per homomorphism and cached on it.  For the identity this is
+    the 4-cycle partition itself: every 4-cycle class is connected through
+    shared vertices, so pulling it back splits nothing.
+    """
+    if phi._pullback is None:
+        object.__setattr__(phi, "_pullback", _pullback(phi))
+    return phi._pullback
+
+
+def _pullback(phi: GraphHom) -> ClosurePartition:
+    g = phi.source
+    if g == phi.target and phi.mapping == tuple(range(g.n)):
+        return c4_partition(g)
+    target = c4_partition(phi.target)
+    m = len(g.edges)
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    cls = np.array([target.class_of[phi.edge_image(e)] for e in g.edges], dtype=np.int64)
+    # source edges of one target class meeting at a vertex are joined: key
+    # each edge end by (class, vertex) and tie it to the first edge of its key
+    keys = np.concatenate([cls * g.n + ends[:, 0], cls * g.n + ends[:, 1]])
+    ids = np.tile(np.arange(m), 2)
+    distinct, group = np.unique(keys, return_inverse=True)
+    first = np.full(len(distinct), m)
+    np.minimum.at(first, group, ids)
+    return _partition(g, _components(m, ids, first[group]))
 
 
 @dataclass(frozen=True)
@@ -273,8 +354,8 @@ class InvariantOracle:
     """Precomputed evaluator for all single-class invariants of one hom.
 
     Exposes the class parities and anchored parities of a multiset in one
-    pass; used by the homotopy search and the fuzz suites where calling
-    eval_invariant per class would recompute the partition every time.
+    pass; used by the homotopy search and the fuzz suites in place of one
+    eval_invariant call (a stability check and a scan of f) per class.
     """
 
     def __init__(self, phi: GraphHom):
@@ -335,20 +416,22 @@ def _eulerian_tour(adjacency: dict[int, Counter], start: int) -> list[int]:
 
 
 def _extract_odd_cycle(walk: list[int]) -> list[int]:
-    """Odd cycle inside an odd closed walk, by splitting at the first repeat."""
+    """Odd cycle inside an odd closed walk, by splitting at the first repeat
+    and keeping the odd piece until no vertex repeats."""
     assert walk[0] == walk[-1] and (len(walk) - 1) % 2 == 1
-    inner = walk[:-1]
-    seen: dict[int, int] = {}
-    for i, v in enumerate(inner):
-        if v in seen:
-            j = seen[v]
-            piece1 = walk[j : i + 1]          # closed at v
-            piece2 = inner[:j] + inner[i:] + [walk[0]]  # the rest, still closed
-            if (len(piece1) - 1) % 2 == 1:
-                return _extract_odd_cycle(piece1)
-            return _extract_odd_cycle(piece2)
-        seen[v] = i
-    return walk
+    while True:
+        inner = walk[:-1]
+        seen: dict[int, int] = {}
+        for i, v in enumerate(inner):
+            if v in seen:
+                j = seen[v]
+                piece1 = walk[j : i + 1]          # closed at v
+                piece2 = inner[:j] + inner[i:] + [walk[0]]  # the rest, still closed
+                walk = piece1 if (len(piece1) - 1) % 2 == 1 else piece2
+                break
+            seen[v] = i
+        else:
+            return walk
 
 
 def find_pivot_edge(
@@ -360,7 +443,7 @@ def find_pivot_edge(
     checked).  The image of f then decomposes into closed walks; an odd one
     yields an odd cycle in the target, one of whose edges lifts into f.  If
     no invariant of that edge's class is odd on f, the class is discarded
-    from f and the search recurses on the strictly smaller remainder.
+    from f and the search repeats on the strictly smaller remainder.
 
     Returns (edge, spec, odd cycle in the target as a closed vertex list)
     with eval(spec, f) = 1 and the cycle inside the support of phi(f).
@@ -382,51 +465,48 @@ def find_pivot_edge(
             f"anchored invariant at target vertex {odd_vertices[0]} is 1, expected 0",
             certificate={"odd_anchors": sorted(odd_vertices)},
         )
-    return _pivot_search(phi, f, f, oracle)
+    return _pivot_search(phi, f, oracle)
 
 
-def _pivot_search(phi, f_original, f, oracle):
-    if f.size() == 0:
-        # cannot happen when the hypotheses hold: parity is preserved downward
-        raise ViolationError("pivot recursion exhausted the multiset", witness=f_original)
-    # multigraph on the target with edge multiset phi(f)
-    adjacency: dict[int, Counter] = {}
-    for e, m in f.counts.items():
-        a, b = phi.edge_image(e)
-        adjacency.setdefault(a, Counter())[b] += m
-        adjacency.setdefault(b, Counter())[a] += m
-    odd_cycle = None
-    for start in sorted(adjacency):
-        if sum(adjacency[start].values()) == 0:
-            continue
-        tour = _eulerian_tour(adjacency, start)
-        if (len(tour) - 1) % 2 == 1:
-            odd_cycle = _extract_odd_cycle(tour)
-            break
-    if odd_cycle is None:
-        raise ViolationError("no odd closed walk in the image multigraph", witness=f)
-    cycle_edges = sorted(canon_edge(a, b) for a, b in zip(odd_cycle, odd_cycle[1:]))
-    # lift: smallest source edge in f mapping onto an edge of the cycle
-    target_edge = None
-    lifted = None
-    for e in sorted(f.counts):
-        img = phi.edge_image(e)
-        if img in cycle_edges:
-            lifted = e
-            target_edge = img
-            break
-    assert lifted is not None, "odd cycle must be inside the image of f"
-    cls = oracle.partition.class_edges(lifted)
-    plain, anchored = oracle.profile(f)
-    cid = oracle.partition.class_id(lifted)
-    if plain[cid] == 1:
-        spec = InvariantSpec(cls, None)
-        return lifted, spec, odd_cycle
-    anchored_hits = [u for (c, u) in anchored if c == cid]
-    if anchored_hits:
-        spec = InvariantSpec(cls, min(anchored_hits))
-        return lifted, spec, odd_cycle
-    return _pivot_search(phi, f_original, f.without_edges(cls), oracle)
+def _pivot_search(phi, f, oracle):
+    f_original = f
+    while True:
+        if f.size() == 0:
+            # cannot happen when the hypotheses hold: parity is preserved downward
+            raise ViolationError("pivot search exhausted the multiset", witness=f_original)
+        # multigraph on the target with edge multiset phi(f)
+        adjacency: dict[int, Counter] = {}
+        for e, m in f.counts.items():
+            a, b = phi.edge_image(e)
+            adjacency.setdefault(a, Counter())[b] += m
+            adjacency.setdefault(b, Counter())[a] += m
+        odd_cycle = None
+        for start in sorted(adjacency):
+            if sum(adjacency[start].values()) == 0:
+                continue
+            tour = _eulerian_tour(adjacency, start)
+            if (len(tour) - 1) % 2 == 1:
+                odd_cycle = _extract_odd_cycle(tour)
+                break
+        if odd_cycle is None:
+            raise ViolationError("no odd closed walk in the image multigraph", witness=f)
+        cycle_edges = sorted(canon_edge(a, b) for a, b in zip(odd_cycle, odd_cycle[1:]))
+        # lift: smallest source edge in f mapping onto an edge of the cycle
+        lifted = None
+        for e in sorted(f.counts):
+            if phi.edge_image(e) in cycle_edges:
+                lifted = e
+                break
+        assert lifted is not None, "odd cycle must be inside the image of f"
+        cls = oracle.partition.class_edges(lifted)
+        plain, anchored = oracle.profile(f)
+        cid = oracle.partition.class_id(lifted)
+        if plain[cid] == 1:
+            return lifted, InvariantSpec(cls, None), odd_cycle
+        anchored_hits = [u for (c, u) in anchored if c == cid]
+        if anchored_hits:
+            return lifted, InvariantSpec(cls, min(anchored_hits)), odd_cycle
+        f = f.without_edges(cls)
 
 
 def verify_bipartite_complement(phi: GraphHom, spec: InvariantSpec, cycle_vertices) -> bool:

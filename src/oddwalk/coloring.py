@@ -23,6 +23,7 @@ from typing import Optional
 from .closure import (
     GraphHom,
     InvariantSpec,
+    c4_bundles,
     c4_partition,
     find_pivot_edge,
     phi_partition,
@@ -559,17 +560,6 @@ class ChainLink:
     prec_witness: dict[int, Walk] = field(default_factory=dict)
 
 
-def _c4_bundles(h: Graph):
-    """Bundles (u, w, common neighbors) generating the 4-cycle relation."""
-    bundles = []
-    for u in range(h.n):
-        for w in range(u + 1, h.n):
-            common = sorted(h.adj[u] & h.adj[w])
-            if len(common) >= 2:
-                bundles.append((u, w, common))
-    return bundles
-
-
 def _bundle_c4(u, w, common, e1, e2):
     """A 4-cycle of the bundle containing both edges (as canonical pairs)."""
 
@@ -593,7 +583,7 @@ def c4_chain(h: Graph, start_edges, goal: tuple[int, int]):
     starts = sorted(canon_edge(*e) for e in start_edges)
     if goal in starts:
         return []
-    bundles = _c4_bundles(h)
+    bundles = c4_bundles(h)
     edge_bundles: dict[tuple[int, int], list[int]] = {}
     for idx, (u, w, common) in enumerate(bundles):
         for x in common:

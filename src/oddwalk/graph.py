@@ -30,7 +30,7 @@ class Graph:
     edges.  No self-loops, no parallel edges, adjacency is symmetric.
     """
 
-    __slots__ = ("n", "adj", "edges")
+    __slots__ = ("n", "adj", "edges", "_c4_partition")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -49,6 +49,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.adj = tuple(frozenset(s) for s in adj)
+        self._c4_partition = None  # closure.c4_partition's result, built on first use
 
     @classmethod
     def from_sorted_unique(cls, n: int, edges) -> "Graph":
@@ -62,6 +63,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         g.adj = tuple(frozenset(s) for s in adj)
+        g._c4_partition = None
         return g
 
     def neighbors(self, v: int) -> frozenset[int]:
@@ -80,6 +82,8 @@ class Graph:
         return len(self.edges)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
     def __hash__(self):

@@ -309,6 +309,20 @@ def test_pivot_recursion_discards_an_even_class():
     assert eval_invariant(spec, f, phi) == 1
 
 
+def test_pivot_long_tour_with_repeated_vertices():
+    # the image tour bounces 0-1 two thousand times before closing through
+    # 2: splitting it at repeated vertices takes about a thousand steps,
+    # which once overflowed the interpreter stack
+    k3 = complete(3)
+    phi = GraphHom.identity(k3)
+    f = EdgeMultiset(Counter({(0, 1): 2001, (1, 2): 1, (0, 2): 1}), k3)
+    e, spec, odd_cycle = find_pivot_edge(phi, f)
+    assert e == (0, 1)
+    assert spec == InvariantSpec(frozenset({(0, 1)}), None)
+    assert sorted(odd_cycle[:-1]) == [0, 1, 2] and odd_cycle[0] == odd_cycle[-1]
+    assert eval_invariant(spec, f, phi) == 1
+
+
 def test_pivot_contract_on_100_generated_instances():
     rnd = random.Random(47)
     built = 0
