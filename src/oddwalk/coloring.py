@@ -16,7 +16,6 @@ every step a short odd cycle through the current edge.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,6 +43,7 @@ from .graph import (
     odd_girth,
 )
 from .homotopy import Walk
+from .traverse import bfs, depths, path_to_root, simple_path_dfs
 
 PRODUCT_4COLOR = "PRODUCT_4COLOR"
 EXTENSION = "EXTENSION"
@@ -84,8 +84,7 @@ def extend_coloring(phi: GraphHom, split: StableSplit, gamma0: Coloring) -> Colo
     bip_a, _ = is_bipartite(g_a)
     if bip_a:
         raise InputError("A-side must be non-bipartite")
-    comps = _components_within(g_a, a_vertices)
-    if len(comps) != 1:
+    if len(bfs([min(a_vertices)], g_a.sorted_neighbors)) != len(a_vertices):
         raise InputError("A-side must be connected")
     for v in a_vertices:
         if v not in gamma0.assignment:
@@ -104,27 +103,11 @@ def extend_coloring(phi: GraphHom, split: StableSplit, gamma0: Coloring) -> Colo
         raise InputError("palette must have at least two colors")
 
     # multi-source BFS from the A-side through B-edges
-    b_adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for u, v in split.b_edges:
-        b_adj[u].append(v)
-        b_adj[v].append(u)
-    dist: dict[int, int] = {}
+    parent = bfs(sorted(a_vertices), g.subgraph_on_edges(split.b_edges).sorted_neighbors)
+    dist = depths(parent)
     anchor: dict[int, int] = {}
-    parent: dict[int, Optional[int]] = {}
-    queue = deque()
-    for v in sorted(a_vertices):
-        dist[v] = 0
-        anchor[v] = v
-        parent[v] = None
-        queue.append(v)
-    while queue:
-        u = queue.popleft()
-        for w in sorted(b_adj[u]):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                anchor[w] = anchor[u]
-                parent[w] = u
-                queue.append(w)
+    for v, prev in parent.items():
+        anchor[v] = v if prev is None else anchor[prev]
 
     missing = [v for v in range(g.n) if v not in dist]
     if missing:
@@ -134,15 +117,9 @@ def extend_coloring(phi: GraphHom, split: StableSplit, gamma0: Coloring) -> Colo
             certificate={"unreachable": missing},
         )
 
-    def walk_to_anchor(v):
-        out = [v]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])
-        return out
-
     for u, v in sorted(split.b_edges):
-        walk_u = walk_to_anchor(u)
-        walk_v = [u] + walk_to_anchor(v)  # the other walk from u, through v
+        walk_u = path_to_root(parent, u)
+        walk_v = [u] + path_to_root(parent, v)  # the other walk from u, through v
         if (dist[u] + dist[v]) % 2 == 0:
             raise HypothesisError(
                 f"two B-walks from vertex {u} disagree in parity "
@@ -164,26 +141,6 @@ def extend_coloring(phi: GraphHom, split: StableSplit, gamma0: Coloring) -> Colo
     if not out.is_proper(g):
         raise ViolationError("extension produced an improper coloring", witness=out)
     return out
-
-
-def _components_within(g: Graph, vertices: set[int]) -> list[set[int]]:
-    seen: set[int] = set()
-    comps = []
-    for v in sorted(vertices):
-        if v in seen:
-            continue
-        comp = {v}
-        seen.add(v)
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if w in vertices and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    return comps
 
 
 def color_ball(h: Graph, v: int, r: int) -> Coloring:
@@ -225,42 +182,13 @@ def color_ball(h: Graph, v: int, r: int) -> Coloring:
 def _cycle_through_edge(h: Graph, e: tuple[int, int], length: int) -> Optional[list[int]]:
     """A simple cycle of exactly `length` through edge e, or None.
 
-    DFS for a simple path between the endpoints with exact remaining length,
-    pruned by breadth-first distance; deterministic via sorted neighbors.
+    DFS for a simple path from y to a neighbour of x that avoids x, pruned by
+    breadth-first distance to x; deterministic via sorted neighbors.
     """
     x, y = e
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for w in h.adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    path = [y]
-    on_path = {y}
-
-    def dfs(u, remaining):
-        if remaining == 0:
-            return list(path) if u == x else None
-        for w in h.sorted_neighbors(u):
-            if w in on_path or dist.get(w, length + 1) > remaining:
-                continue
-            if w == x and remaining != 1:
-                continue
-            path.append(w)
-            on_path.add(w)
-            found = dfs(w, remaining - 1)
-            if found is not None:
-                return found
-            path.pop()
-            on_path.remove(w)
-        return None
-
-    found = dfs(y, length - 1)
-    if found is None:
-        return None
-    return [x] + found  # found runs y..x, so this closes at x
+    dist = depths(bfs([x], h.sorted_neighbors))
+    _, path, _ = simple_path_dfs(h, y, length - 2, x, blocked=x, dist=dist)
+    return None if path is None else [x] + path + [x]
 
 
 def shortest_odd_cycle_meeting(
@@ -304,17 +232,7 @@ def color_closure_subgraph(h: Graph, f: tuple[int, int], r: int) -> Coloring:
     cycle_edges = {canon_edge(a, b) for a, b in zip(cycle, cycle[1:])}
     h1 = h.subgraph_on_edges(cycle_edges | closure)
     cycle_vertices = sorted(set(cycle[:-1]))
-    dist_from: dict[int, dict[int, int]] = {}
-    for cv in cycle_vertices:
-        dmap = {cv: 0}
-        queue = deque([cv])
-        while queue:
-            u = queue.popleft()
-            for w in h1.adj[u]:
-                if w not in dmap:
-                    dmap[w] = dmap[u] + 1
-                    queue.append(w)
-        dist_from[cv] = dmap
+    dist_from = {cv: depths(bfs([cv], h1.sorted_neighbors)) for cv in cycle_vertices}
     closure_vertices = {v for e in closure for v in e}
     all_vertices = closure_vertices | set(cycle_vertices)
     nearest: dict[int, int] = {}
@@ -589,34 +507,31 @@ def c4_chain(h: Graph, start_edges, goal: tuple[int, int]):
         for x in common:
             for hub in (u, w):
                 edge_bundles.setdefault(canon_edge(hub, x), []).append(idx)
-    parent: dict[tuple[int, int], tuple] = {e: None for e in starts}
-    queue = deque(starts)
+
+    def members(idx):
+        u, w, common = bundles[idx]
+        return sorted({canon_edge(u, x) for x in common} | {canon_edge(w, x) for x in common})
+
     spent: set[int] = set()
-    while queue:
-        e = queue.popleft()
-        if e == goal:
-            break
+
+    def successors(e):
+        # a bundle's edges are all discovered the first time it is opened
         for idx in edge_bundles.get(e, []):
-            if idx in spent:
-                continue
-            spent.add(idx)
-            u, w, common = bundles[idx]
-            members = sorted(
-                {canon_edge(u, x) for x in common} | {canon_edge(w, x) for x in common}
-            )
-            for e2 in members:
-                if e2 not in parent:
-                    parent[e2] = (e, _bundle_c4(u, w, common, e, e2))
-                    queue.append(e2)
+            if idx not in spent:
+                spent.add(idx)
+                yield from members(idx)
+
+    parent = bfs(starts, successors, goal=goal)
     if goal not in parent:
         return None
+    path = path_to_root(parent, goal)[::-1]
     chain = []
-    cur = goal
-    while parent[cur] is not None:
-        prev, four = parent[cur]
-        chain.append((prev, four, cur))
-        cur = prev
-    return chain[::-1]
+    for e, e2 in zip(path, path[1:]):
+        # e2 was first discovered from e, so no bundle holding e2 had been
+        # opened before e: the first of e's bundles holding e2 is the one
+        idx = next(i for i in edge_bundles[e] if e2 in members(i))
+        chain.append((e, _bundle_c4(*bundles[idx], e, e2), e2))
+    return chain
 
 
 def _locate_edge(path: list[int], e: tuple[int, int]) -> Optional[int]:

@@ -10,11 +10,11 @@ All graphs are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ParseError, RefusalError
+from .traverse import NO, UNKNOWN, YES, bfs, depths, path_to_root, simple_path_dfs
 
 INFINITE = math.inf
 
@@ -26,11 +26,12 @@ def canon_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Immutable undirected simple graph.
 
-    `adj` is a tuple of frozensets; `edges` is the sorted tuple of canonical
-    edges.  No self-loops, no parallel edges, adjacency is symmetric.
+    `adj` is a tuple of frozensets and `sorted_adj` the same neighbourhoods
+    as ascending tuples; `edges` is the sorted tuple of canonical edges.  No
+    self-loops, no parallel edges, adjacency is symmetric.
     """
 
-    __slots__ = ("n", "adj", "edges", "_c4_partition")
+    __slots__ = ("n", "adj", "sorted_adj", "edges", "_c4_partition")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -42,35 +43,34 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             seen.add(canon_edge(u, v))
-        self.n = n
-        self.edges = tuple(sorted(seen))
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adj = tuple(frozenset(s) for s in adj)
-        self._c4_partition = None  # closure.c4_partition's result, built on first use
+        self._set_edges(n, tuple(sorted(seen)))
 
     @classmethod
     def from_sorted_unique(cls, n: int, edges) -> "Graph":
         """Bulk constructor for edges already canonical, sorted, deduplicated
         and range-checked (sample builders); skips per-edge validation."""
         g = cls.__new__(cls)
-        g.n = n
-        g.edges = tuple(edges)
+        g._set_edges(n, tuple(edges))
+        return g
+
+    def _set_edges(self, n: int, edges: tuple) -> None:
+        # `edges` is sorted, so each vertex's smaller neighbours arrive first
+        # and in order, then its larger ones: every list below is ascending.
+        self.n = n
+        self.edges = edges
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in g.edges:
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        g.adj = tuple(frozenset(s) for s in adj)
-        g._c4_partition = None
-        return g
+        self.sorted_adj = tuple(map(tuple, adj))
+        self.adj = tuple(map(frozenset, self.sorted_adj))
+        self._c4_partition = None  # closure.c4_partition's result, built on first use
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adj[v]
 
-    def sorted_neighbors(self, v: int) -> list[int]:
-        return sorted(self.adj[v])
+    def sorted_neighbors(self, v: int) -> tuple[int, ...]:
+        return self.sorted_adj[v]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -187,32 +187,24 @@ def is_bipartite(g: Graph) -> tuple[bool, object]:
     the walk is a closed odd walk witnessing non-bipartiteness.
     """
     side: dict[int, int] = {}
-    parent: dict[int, Optional[int]] = {}
     for root in range(g.n):
         if root in side:
             continue
-        side[root] = 0
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g.sorted_neighbors(u):
-                if w not in side:
-                    side[w] = 1 - side[u]
-                    parent[w] = u
-                    queue.append(w)
-                elif side[w] == side[u]:
+        parent = bfs([root], g.sorted_neighbors)
+        depth = depths(parent)
+        # an edge inside one BFS layer closes an odd walk; the first such
+        # edge in discovery order is the first conflict a 2-colouring BFS meets
+        for u in parent:
+            for w in g.sorted_adj[u]:
+                if depth[w] == depth[u]:
                     return (False, _odd_closed_walk(parent, u, w))
+        side.update((v, d % 2) for v, d in depth.items())
     return (True, side)
 
 
 def _odd_closed_walk(parent, u, w):
     """Closed odd walk u..lca..w..u through the conflict edge (u, w)."""
-    up, wp = [u], [w]
-    while parent[up[-1]] is not None:
-        up.append(parent[up[-1]])
-    while parent[wp[-1]] is not None:
-        wp.append(parent[wp[-1]])
+    up, wp = path_to_root(parent, u), path_to_root(parent, w)
     # drop the shared part strictly above the lowest common ancestor
     while len(up) >= 2 and len(wp) >= 2 and up[-2] == wp[-2]:
         up.pop()
@@ -229,48 +221,32 @@ def double_cover_odd_walk(g: Graph, v: int) -> Optional[list[int]]:
     Returns the walk as a vertex list (v ... v) or None if no odd closed walk
     passes through v.
     """
-    start = (v, 0)
-    dist = {start: 0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    queue = deque([start])
-    target = (v, 1)
-    while queue:
-        (u, p) = queue.popleft()
-        if (u, p) == target:
-            break
-        for w in g.sorted_neighbors(u):
-            nxt = (w, 1 - p)
-            if nxt not in dist:
-                dist[nxt] = dist[(u, p)] + 1
-                parent[nxt] = (u, p)
-                queue.append(nxt)
-    if target not in dist:
+    # state 2u + p is vertex u reached by a walk of parity p
+    nbrs = g.sorted_adj
+
+    def successors(state: int) -> list[int]:
+        flip = 1 - (state & 1)
+        return [2 * w + flip for w in nbrs[state >> 1]]
+
+    target = 2 * v + 1
+    parent = bfs([2 * v], successors, goal=target)
+    if target not in parent:
         return None
-    walk = []
-    cur = target
-    while cur != start:
-        walk.append(cur[0])
-        cur = parent[cur]
-    walk.append(v)
-    return walk[::-1]
+    return [state >> 1 for state in reversed(path_to_root(parent, target))]
 
 
 def odd_girth(g: Graph) -> float:
-    """Length of the shortest odd cycle; INFINITE when bipartite.
+    """Length of the shortest odd cycle; INFINITE when bipartite."""
+    cycle = shortest_odd_cycle(g)
+    return INFINITE if cycle is None else len(cycle) - 1
+
+
+def shortest_odd_cycle(g: Graph) -> Optional[list[int]]:
+    """A shortest odd cycle as a closed vertex list, or None if bipartite.
 
     Shortest odd closed walks never repeat vertices, so the double-cover
     distance from (v, 0) to (v, 1), minimized over v, is the odd girth.
     """
-    best = INFINITE
-    for v in range(g.n):
-        walk = double_cover_odd_walk(g, v)
-        if walk is not None:
-            best = min(best, len(walk) - 1)
-    return best
-
-
-def shortest_odd_cycle(g: Graph) -> Optional[list[int]]:
-    """A shortest odd cycle as a closed vertex list, or None if bipartite."""
     best: Optional[list[int]] = None
     for v in range(g.n):
         walk = double_cover_odd_walk(g, v)
@@ -284,10 +260,6 @@ def shortest_odd_cycle(g: Graph) -> Optional[list[int]]:
 
 # ---------------------------------------------------------------------------
 # fixed-length cycle search
-
-YES = "YES"
-NO = "NO"
-UNKNOWN = "UNKNOWN"
 
 
 @dataclass
@@ -308,50 +280,16 @@ def has_cycle_of_length(g: Graph, k: int, budget: int = 10**7) -> CycleSearch:
         raise InputError("cycle length must be at least 3")
     expansions = 0
     for s in range(g.n):
-        # distances from s, for pruning
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        path = [s]
-        on_path = {s}
-
-        def dfs(u: int, remaining: int) -> Optional[list[int]]:
-            nonlocal expansions
-            expansions += 1
-            if expansions > budget:
-                raise _BudgetExceeded
-            if remaining == 0:
-                return path + [s] if s in g.adj[u] else None
-            for w in g.sorted_neighbors(u):
-                if w <= s or w in on_path:
-                    continue
-                if dist.get(w, k + 1) > remaining:
-                    continue
-                path.append(w)
-                on_path.add(w)
-                found = dfs(w, remaining - 1)
-                if found is not None:
-                    return found
-                path.pop()
-                on_path.remove(w)
-            return None
-
-        try:
-            found = dfs(s, k - 1)
-        except _BudgetExceeded:
+        dist = depths(bfs([s], g.sorted_neighbors))
+        status, path, used = simple_path_dfs(
+            g, s, k - 1, s, budget=budget - expansions, lowest=s + 1, dist=dist
+        )
+        expansions += used
+        if status == YES:
+            return CycleSearch(YES, path + [s], expansions)
+        if status == UNKNOWN:
             return CycleSearch(UNKNOWN, None, expansions)
-        if found is not None:
-            return CycleSearch(YES, found, expansions)
     return CycleSearch(NO, None, expansions)
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +300,11 @@ def bfs_layers(g: Graph, v: int) -> list[set[int]]:
     """Partition of v's component by BFS distance; layer 0 is {v}."""
     if not (0 <= v < g.n):
         raise InputError(f"vertex {v} out of range")
-    dist = {v: 0}
-    layers = [{v}]
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                if dist[w] == len(layers):
-                    layers.append(set())
-                layers[dist[w]].add(w)
-                queue.append(w)
+    layers: list[set[int]] = []
+    for w, d in depths(bfs([v], g.sorted_neighbors)).items():
+        if d == len(layers):
+            layers.append(set())
+        layers[d].add(w)
     return layers
 
 
@@ -419,16 +350,8 @@ def connected_components(g: Graph) -> list[set[int]]:
     for v in range(g.n):
         if v in seen:
             continue
-        comp = {v}
-        queue = deque([v])
-        seen.add(v)
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
+        comp = set(bfs([v], g.sorted_neighbors))
+        seen |= comp
         comps.append(comp)
     return comps
 

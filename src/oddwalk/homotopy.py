@@ -12,13 +12,13 @@ sequences.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .closure import EdgeMultiset, GraphHom, InvariantOracle, InvariantSpec
 from .errors import InputError, MoveError, ParseError, RefusalError
 from .graph import Graph, is_bipartite, is_connected
+from .traverse import meet_in_the_middle
 
 SUB = "sub"
 INS = "ins"
@@ -264,66 +264,21 @@ def are_homotopic(
     spec = oracle.separating_spec(p.edge_multiset(), q.edge_multiset())
     if spec is not None:
         return HomotopyVerdict(NOT_HOMOTOPIC, separator=spec)
-    if p.vertices == q.vertices:
-        return HomotopyVerdict(HOMOTOPIC, moves=[])
 
-    # bidirectional BFS; parents remember (previous state, move applied)
-    sides = [
-        {"seen": {p.vertices: None}, "frontier": deque([p.vertices])},
-        {"seen": {q.vertices: None}, "frontier": deque([q.vertices])},
-    ]
-    explored = 0
-    meet = None
-    while meet is None and (sides[0]["frontier"] or sides[1]["frontier"]):
-        if explored >= state_cap:
-            return HomotopyVerdict(UNKNOWN, states_explored=explored)
-        idx = 0 if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else 1
-        if not sides[idx]["frontier"]:
-            idx = 1 - idx
-        side, other = sides[idx], sides[1 - idx]
-        for _ in range(len(side["frontier"])):
-            state = side["frontier"].popleft()
-            explored += 1
-            if explored > state_cap:
-                return HomotopyVerdict(UNKNOWN, states_explored=explored)
-            walk = Walk(g, state)
-            for move, succ in legal_moves(walk, length_cap):
-                key = succ.vertices
-                if key in side["seen"]:
-                    continue
-                side["seen"][key] = (state, move)
-                side["frontier"].append(key)
-                if key in other["seen"]:
-                    meet = key
-                    break
-            if meet is not None:
-                break
-    if meet is None:
+    def successors(state):
+        return ((move, succ.vertices) for move, succ in legal_moves(Walk(g, state), length_cap))
+
+    explored, chains = meet_in_the_middle(p.vertices, q.vertices, successors, state_cap)
+    if chains is None:
         return HomotopyVerdict(UNKNOWN, states_explored=explored)
-
-    forward = _path_moves(g, sides[0]["seen"], meet)
-    backward = _path_moves(g, sides[1]["seen"], meet)
+    forward, backward = chains
     # invert the q-side path to continue from the meeting walk to q
     moves = [move for _, move in forward]
-    current = Walk(g, meet)
     for before_vertices, move in reversed(backward):
-        before = Walk(g, before_vertices)
-        inv = inverse_move(before, move)
-        moves.append(inv)
-        current = apply_move(current, inv)
+        moves.append(inverse_move(Walk(g, before_vertices), move))
     replayed = replay_moves(p, moves)
     assert replayed == q, "witness failed to replay"
     return HomotopyVerdict(HOMOTOPIC, moves=moves, states_explored=explored)
-
-
-def _path_moves(g: Graph, seen: dict, state):
-    """Chain of (state before move, move) from the BFS root to `state`."""
-    chain = []
-    while seen[state] is not None:
-        prev, move = seen[state]
-        chain.append((prev, move))
-        state = prev
-    return chain[::-1]
 
 
 SIMPLY_CONNECTED = "SIMPLY_CONNECTED"

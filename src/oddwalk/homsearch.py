@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .closure import GraphHom
 from .errors import InputError
 from .graph import NO, UNKNOWN, YES, Graph, canon_edge, has_cycle_of_length
 from .rng import Stream, derive_seed
+from .traverse import simple_path_dfs
 
 FOUND = "FOUND"
 NONE = "NONE"
@@ -45,6 +46,8 @@ def hom_exists(g: Graph, h: Graph, node_budget: int = 10**6) -> HomSearchResult:
     Values are tried by descending target degree; the next variable is the
     one with the smallest remaining domain; assigning a vertex prunes its
     neighbors' domains to the image's neighborhood (forward checking).
+    Each stack frame holds a variable, its untried values and the domains
+    its current value trimmed.
     """
     start = time.perf_counter()
     if g.n == 0:
@@ -62,42 +65,48 @@ def hom_exists(g: Graph, h: Graph, node_budget: int = 10**6) -> HomSearchResult:
             key=lambda v: (len(domains[v]), v),
         )
 
-    def search() -> Optional[bool]:
-        nonlocal nodes
-        if len(assignment) == g.n:
-            return True
-        v = select()
-        for x in list(domains[v]):
-            nodes += 1
-            if nodes > node_budget:
-                return None  # budget exhausted
-            assignment[v] = x
-            trimmed: list[tuple[int, list[int]]] = []
-            ok = True
-            for w in g.adj[v]:
-                if w in assignment:
-                    if not h.has_edge(x, assignment[w]):
-                        ok = False
-                        break
-                    continue
-                allowed = [y for y in domains[w] if h.has_edge(x, y)]
-                if not allowed:
-                    ok = False
-                    break
-                trimmed.append((w, domains[w]))
-                domains[w] = allowed
-            if ok:
-                result = search()
-                if result:
-                    return True
-                if result is None:
-                    return None
+    def forward_check(v: int, x: int, trimmed: list) -> bool:
+        for w in g.adj[v]:
+            if w in assignment:
+                if not h.has_edge(x, assignment[w]):
+                    return False
+                continue
+            allowed = [y for y in domains[w] if h.has_edge(x, y)]
+            if not allowed:
+                return False
+            trimmed.append((w, domains[w]))
+            domains[w] = allowed
+        return True
+
+    stack: list[tuple[int, Iterator[int], list[tuple[int, list[int]]]]] = []
+    outcome: Optional[bool] = False
+    descend = True
+    while True:
+        if descend:
+            if len(assignment) == g.n:
+                outcome = True
+                break
+            v = select()
+            stack.append((v, iter(list(domains[v])), []))
+        if not stack:
+            break
+        v, values, trimmed = stack[-1]
+        if v in assignment:  # retract the value tried last
             for w, old in trimmed:
                 domains[w] = old
+            trimmed.clear()
             del assignment[v]
-        return False
-
-    outcome = search()
+        x = next(values, None)
+        if x is None:
+            stack.pop()
+            descend = False
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            outcome = None  # budget exhausted
+            break
+        assignment[v] = x
+        descend = forward_check(v, x, trimmed)
     elapsed = time.perf_counter() - start
     if outcome is None:
         return HomSearchResult(TIMEOUT, None, nodes, elapsed)
@@ -148,39 +157,6 @@ def _merge(g: Graph, keep: int, drop: int) -> Graph:
     return Graph(g.n - 1, edges)
 
 
-def _cycle_through_vertex_status(g: Graph, w: int, length: int, budget: int):
-    """YES/NO/UNKNOWN for a simple cycle of exactly `length` through w."""
-    expansions = 0
-    path = [w]
-    on_path = {w}
-
-    class Budget(Exception):
-        pass
-
-    def dfs(u, remaining):
-        nonlocal expansions
-        expansions += 1
-        if expansions > budget:
-            raise Budget
-        if remaining == 0:
-            return w in g.adj[u]
-        for x in g.sorted_neighbors(u):
-            if x in on_path:
-                continue
-            path.append(x)
-            on_path.add(x)
-            if dfs(x, remaining - 1):
-                return True
-            path.pop()
-            on_path.remove(x)
-        return False
-
-    try:
-        return (YES, expansions) if dfs(w, length - 1) else (NO, expansions)
-    except Budget:
-        return (UNKNOWN, expansions)
-
-
 def fold_search(
     g: Graph,
     forbidden_odd_lengths: set[int],
@@ -214,9 +190,12 @@ def fold_search(
         nonlocal spent
         log = {}
         for length in sorted(forbidden_odd_lengths):
+            # a simple cycle of exactly `length` through the merged vertex; no
+            # distance pruning, since its expansions are spent from the fold's
+            # budget and decide which merges get tried
             share = max(1000, (budget - spent) // 4)
-            status, used = _cycle_through_vertex_status(
-                candidate, merged_vertex, length, share
+            status, _, used = simple_path_dfs(
+                candidate, merged_vertex, length - 1, merged_vertex, budget=share
             )
             spent += used
             log[str(length)] = status

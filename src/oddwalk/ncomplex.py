@@ -10,7 +10,6 @@ neighbors; the two translations are mutually inverse on representatives.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,6 +17,7 @@ from .errors import InputError, RefusalError
 from .graph import Graph, canon_edge
 from .homotopy import Walk
 from .snf import smith_normal_form
+from .traverse import bfs, meet_in_the_middle
 
 TRIVIAL = "TRIVIAL"
 CYCLIC = "CYCLIC"
@@ -68,28 +68,24 @@ class SimplicialComplex:
         vs = set(vertices)
         return any(vs <= f for f in self.maximal_faces)
 
+    def _one_skeleton(self) -> dict[int, list[int]]:
+        """Each vertex's neighbours in the 1-skeleton, ascending."""
+        adj: dict[int, list[int]] = {v: [] for v in sorted(self.vertices())}
+        for a, b in self.edges():  # sorted, so every list stays ascending
+            adj[a].append(b)
+            adj[b].append(a)
+        return adj
+
     def components(self) -> list["SimplicialComplex"]:
         """Connected pieces (by the 1-skeleton), each as its own complex."""
-        verts = sorted(self.vertices())
-        adj: dict[int, set[int]] = {v: set() for v in verts}
-        for a, b in self.edges():
-            adj[a].add(b)
-            adj[b].add(a)
+        adj = self._one_skeleton()
         seen: set[int] = set()
         comps = []
-        for v in verts:
+        for v in adj:
             if v in seen:
                 continue
-            comp = {v}
-            queue = deque([v])
-            seen.add(v)
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        queue.append(w)
+            comp = set(bfs([v], adj.__getitem__))
+            seen |= comp
             comps.append(comp)
         return [
             SimplicialComplex([f for f in self.maximal_faces if f <= comp]) for comp in comps
@@ -201,25 +197,12 @@ def edge_path_presentation(k: SimplicialComplex, v0: int) -> GroupPresentation:
     1-skeleton.  Relators: the boundary word of every triangle, with tree
     edges contributing nothing.
     """
-    verts = sorted(k.vertices())
     if v0 not in k.vertices():
         raise InputError(f"basepoint {v0} not in the complex")
     if not k.is_connected():
         raise RefusalError("complex is disconnected")
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for a, b in k.edges():
-        adj[a].add(b)
-        adj[b].add(a)
-    tree: set[tuple[int, int]] = set()
-    seen = {v0}
-    queue = deque([v0])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(adj[u]):
-            if w not in seen:
-                seen.add(w)
-                tree.add(canon_edge(u, w))
-                queue.append(w)
+    parent = bfs([v0], k._one_skeleton().__getitem__)
+    tree = {canon_edge(u, w) for w, u in parent.items() if u is not None}
     gens = [e for e in k.edges() if e not in tree]
     gen_index = {e: i + 1 for i, e in enumerate(gens)}  # 1-based
 
@@ -368,13 +351,15 @@ def tietze_simplify(
         return reduced, TRIVIAL
     if len(gens) == 1:
         return reduced, CYCLIC
-    abelian = _abelianization(reduced)
+    abelian = presentation_abelianization(reduced)
     if abelian.free_rank > 0 or abelian.torsion:
         return reduced, UNKNOWN_NONTRIVIAL_ABELIANIZATION
     return reduced, UNKNOWN
 
 
-def _abelianization(p: GroupPresentation) -> H1Descriptor:
+def presentation_abelianization(p: GroupPresentation) -> H1Descriptor:
+    """Abelianization of the presented group, from the Smith normal form of
+    the relator exponent-sum matrix."""
     if p.num_generators == 0:
         return H1Descriptor(0, ())
     if not p.relators:
@@ -388,10 +373,6 @@ def _abelianization(p: GroupPresentation) -> H1Descriptor:
     snf = smith_normal_form(matrix)
     torsion = tuple(d for d in snf.diagonal if d > 1)
     return H1Descriptor(p.num_generators - snf.rank, torsion)
-
-
-def presentation_abelianization(p: GroupPresentation) -> H1Descriptor:
-    return _abelianization(p)
 
 
 # ---------------------------------------------------------------------------
@@ -465,30 +446,11 @@ def equivalent_edge_paths(
     """
     from .homotopy import HOMOTOPIC, UNKNOWN as HUNKNOWN
 
-    if q1.vertices == q2.vertices:
-        return HOMOTOPIC
     if length_cap is None:
         length_cap = max(len(q1.vertices), len(q2.vertices)) + 4
-    sides = [
-        {"seen": {q1.vertices}, "frontier": deque([q1.vertices])},
-        {"seen": {q2.vertices}, "frontier": deque([q2.vertices])},
-    ]
-    explored = 0
-    while sides[0]["frontier"] or sides[1]["frontier"]:
-        idx = 0 if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else 1
-        if not sides[idx]["frontier"]:
-            idx = 1 - idx
-        side, other = sides[idx], sides[1 - idx]
-        for _ in range(len(side["frontier"])):
-            state = side["frontier"].popleft()
-            explored += 1
-            if explored > state_cap:
-                return HUNKNOWN
-            for succ in _edgepath_moves(k, state, length_cap):
-                if succ in side["seen"]:
-                    continue
-                side["seen"].add(succ)
-                side["frontier"].append(succ)
-                if succ in other["seen"]:
-                    return HOMOTOPIC
-    return HUNKNOWN
+
+    def successors(vs):
+        return ((None, succ) for succ in _edgepath_moves(k, vs, length_cap))
+
+    _, chains = meet_in_the_middle(q1.vertices, q2.vertices, successors, state_cap)
+    return HUNKNOWN if chains is None else HOMOTOPIC

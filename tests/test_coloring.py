@@ -161,6 +161,11 @@ def test_shortest_odd_cycle_meeting_deterministic():
     assert again[0] == cyc
 
 
+def test_shortest_odd_cycle_meeting_deeper_than_the_recursion_limit():
+    found = shortest_odd_cycle_meeting(cycle(1501), frozenset({(0, 1)}), 1501)
+    assert found == (list(range(1501)) + [0], (0, 1))
+
+
 # ---------------------------------------------------------------------------
 # bounded_coloring_pipeline
 

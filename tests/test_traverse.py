@@ -1,0 +1,200 @@
+"""Differential tests for the traversal kernels in `oddwalk.traverse`.
+
+`traversal_reference` keeps the hand-rolled searches the kernels replaced;
+every routine that now goes through a kernel must return exactly what its
+reference returns: walks, witnesses, statuses, expansion and node counts,
+move logs and states_explored, also when a budget or cap runs out.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import traversal_reference as ref
+from graphs import complete, cycle, example7, fuzz_corpus, path, petersen
+from oddwalk.borsuk import sample_approximation
+from oddwalk.coloring import _cycle_through_edge, c4_chain
+from oddwalk.graph import (
+    Graph,
+    canon_edge,
+    double_cover_odd_walk,
+    has_cycle_of_length,
+    is_bipartite,
+    shortest_odd_cycle,
+)
+from oddwalk.homotopy import Walk, are_homotopic
+from oddwalk.homsearch import hom_exists
+from oddwalk.ncomplex import build_ncomplex, equivalent_edge_paths, walk_to_edgepath
+from oddwalk.traverse import bfs, depths, path_to_root, simple_path_dfs
+
+EPS5 = math.pi / 5
+BUDGETS = (3, 50, 10**7)  # the small ones run out: UNKNOWN with budget + 1 expansions
+
+CORPUS = fuzz_corpus() + [
+    Graph(0, []),
+    Graph(4, []),
+    Graph(7, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6)]),  # triangle, path, isolated vertex
+    path(6),
+    cycle(4),
+    cycle(9),
+    complete(6),
+]
+
+
+def check_bipartite_and_walks(g):
+    ok, witness = is_bipartite(g)
+    expected_ok, expected_witness = ref.is_bipartite(g)
+    assert ok == expected_ok
+    if ok:
+        assert list(witness.items()) == list(expected_witness.items())
+    else:
+        assert witness == expected_witness
+    for v in range(g.n):
+        assert double_cover_odd_walk(g, v) == ref.double_cover_odd_walk(g, v)
+
+
+def check_cycle_searches(g, lengths, budgets=BUDGETS):
+    for k in lengths:
+        for budget in budgets:
+            got = has_cycle_of_length(g, k, budget=budget)
+            want = ref.has_cycle_of_length(g, k, budget=budget)
+            assert (got.status, got.witness, got.expansions) == (
+                want.status, want.witness, want.expansions
+            )
+            # the fold search's cycle check through one vertex
+            for w in range(g.n):
+                status, _, used = simple_path_dfs(g, w, k - 1, w, budget=budget)
+                assert (status, used) == ref.cycle_through_vertex_status(g, w, k, budget)
+        for e in g.edges:
+            assert _cycle_through_edge(g, e, k) == ref.cycle_through_edge(g, e, k)
+
+
+def check_c4_chains(g):
+    cycle_ = shortest_odd_cycle(g)
+    if cycle_ is None:
+        return
+    starts = [canon_edge(a, b) for a, b in zip(cycle_, cycle_[1:])]
+    for goal in g.edges:
+        assert c4_chain(g, starts, goal) == ref.c4_chain(g, starts, goal)
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_kernels_match_reference_on_corpus(index):
+    g = CORPUS[index]
+    check_bipartite_and_walks(g)
+    check_cycle_searches(g, range(3, min(g.n, 8) + 1))
+    check_c4_chains(g)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(graphs())
+@settings(max_examples=120, deadline=None)
+def test_kernels_match_reference_on_random_graphs(g):
+    check_bipartite_and_walks(g)
+    check_cycle_searches(g, range(3, min(g.n, 7) + 1), budgets=(3, 50, 10**5))
+    check_c4_chains(g)
+
+
+def test_kernels_match_reference_on_300_vertex_sample():
+    g = sample_approximation(2, EPS5, 150, 5001).graph  # seed-pinned, 4,276 edges
+    check_bipartite_and_walks(g)
+    for k in (3, 5, 7):
+        for budget in (50, 10**4):
+            got = has_cycle_of_length(g, k, budget=budget)
+            want = ref.has_cycle_of_length(g, k, budget=budget)
+            assert (got.status, got.witness, got.expansions) == (
+                want.status, want.witness, want.expansions
+            )
+        for w in range(0, g.n, 37):
+            status, _, used = simple_path_dfs(g, w, k - 1, w, budget=2000)
+            assert (status, used) == ref.cycle_through_vertex_status(g, w, k, 2000)
+    for e in g.edges[::1069]:  # the reference's looser pruning makes it slow here
+        for length in (3, 5, 7):
+            assert _cycle_through_edge(g, e, length) == ref.cycle_through_edge(g, e, length)
+    cycle_ = shortest_odd_cycle(g)
+    starts = [canon_edge(a, b) for a, b in zip(cycle_, cycle_[1:])]
+    for goal in g.edges[::713]:
+        assert c4_chain(g, starts, goal) == ref.c4_chain(g, starts, goal)
+
+
+def random_walk(rnd, g, start, length):
+    vs = [start]
+    for _ in range(length):
+        vs.append(rnd.choice(g.sorted_neighbors(vs[-1])))
+    return Walk(g, vs)
+
+
+def walk_pairs(g, seed, count):
+    """Same-endpoint, same-parity walk pairs, a few of them equal."""
+    rnd = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        p = random_walk(rnd, g, rnd.randrange(g.n), rnd.randint(1, 5))
+        if rnd.random() < 0.05:
+            pairs.append((p, p))
+            continue
+        q = random_walk(rnd, g, p.start, p.length + rnd.choice((0, 2)))
+        if q.end == p.end and q != p:
+            pairs.append((p, q))
+    return pairs
+
+
+@pytest.mark.parametrize("g", [example7(), complete(4), petersen(), cycle(5)], ids=repr)
+def test_are_homotopic_matches_reference(g):
+    for p, q in walk_pairs(g, g.n, 12):
+        for cap in (1, 10, 400):
+            got = are_homotopic(g, p, q, state_cap=cap)
+            want = ref.are_homotopic(g, p, q, state_cap=cap)
+            assert got.describe() == want.describe()
+            assert got.states_explored == want.states_explored
+
+
+@pytest.mark.parametrize("g", [example7(), complete(4), cycle(5)], ids=repr)
+def test_equivalent_edge_paths_matches_reference(g):
+    k = build_ncomplex(g)
+    rnd = random.Random(g.n)
+    checked = 0
+    while checked < 10:
+        start = rnd.randrange(g.n)
+        p = random_walk(rnd, g, start, 2 * rnd.randint(0, 3))
+        q = random_walk(rnd, g, start, 2 * rnd.randint(0, 3))
+        if not (p.is_closed() and q.is_closed()):
+            continue
+        q1, q2 = walk_to_edgepath(p), walk_to_edgepath(q)
+        for cap in (1, 30, 3000):
+            assert equivalent_edge_paths(k, q1, q2, state_cap=cap) == (
+                ref.equivalent_edge_paths(k, q1, q2, state_cap=cap)
+            )
+        checked += 1
+
+
+def test_hom_exists_matches_reference():
+    targets = [complete(2), complete(3), cycle(5), petersen()]
+    sources = fuzz_corpus() + [path(7), cycle(6), Graph(3, [])]
+    for g in sources:
+        for h in targets:
+            for budget in (5, 60, 10**5):
+                got = hom_exists(g, h, node_budget=budget)
+                mapping = None if got.hom is None else got.hom.mapping
+                assert (got.status, mapping, got.nodes) == ref.hom_exists(g, h, budget)
+
+
+def test_bfs_parent_map_and_helpers():
+    g = petersen()
+    parent = bfs([0], g.sorted_neighbors)
+    assert list(parent) == [0, 1, 4, 5, 2, 6, 3, 9, 7, 8]  # discovery order
+    assert path_to_root(parent, 9) == [9, 4, 0]
+    assert depths(parent) == {0: 0, 1: 1, 4: 1, 5: 1, 2: 2, 6: 2, 3: 2, 9: 2, 7: 2, 8: 2}
+    # the goal stops the search as soon as it is discovered
+    assert list(bfs([0], g.sorted_neighbors, goal=4)) == [0, 1, 4]
+    assert list(bfs([3, 0], g.sorted_neighbors, goal=0)) == [3, 0]

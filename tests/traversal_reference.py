@@ -1,0 +1,400 @@
+"""Pure-Python reference versions of the traversals `oddwalk.traverse` replaced.
+
+These are the hand-rolled BFS loops, recursive DFSes and bidirectional
+searches the library used before its three traversal kernels;
+test_traverse.py requires the library to agree with them exactly: same
+walks, witnesses, statuses, expansion counts, node counts and
+states_explored.  The recursive ones are only run on inputs shallow
+enough for Python's recursion limit.
+"""
+
+from collections import deque
+from typing import Optional
+
+from oddwalk.closure import GraphHom, InvariantOracle, c4_bundles
+from oddwalk.coloring import _bundle_c4
+from oddwalk.graph import NO, UNKNOWN, YES, CycleSearch, canon_edge
+from oddwalk.homotopy import (
+    HOMOTOPIC,
+    NOT_HOMOTOPIC,
+    HomotopyVerdict,
+    Walk,
+    apply_move,
+    inverse_move,
+    legal_moves,
+    replay_moves,
+)
+from oddwalk.homsearch import FOUND, NONE, TIMEOUT
+from oddwalk.ncomplex import _edgepath_moves
+
+
+def is_bipartite(g):
+    side = {}
+    parent = {}
+    for root in range(g.n):
+        if root in side:
+            continue
+        side[root] = 0
+        parent[root] = None
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in sorted(g.adj[u]):
+                if w not in side:
+                    side[w] = 1 - side[u]
+                    parent[w] = u
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return (False, _odd_closed_walk(parent, u, w))
+    return (True, side)
+
+
+def _odd_closed_walk(parent, u, w):
+    up, wp = [u], [w]
+    while parent[up[-1]] is not None:
+        up.append(parent[up[-1]])
+    while parent[wp[-1]] is not None:
+        wp.append(parent[wp[-1]])
+    while len(up) >= 2 and len(wp) >= 2 and up[-2] == wp[-2]:
+        up.pop()
+        wp.pop()
+    return up + wp[-2::-1] + [u]
+
+
+def double_cover_odd_walk(g, v):
+    start = (v, 0)
+    dist = {start: 0}
+    parent = {}
+    queue = deque([start])
+    target = (v, 1)
+    while queue:
+        (u, p) = queue.popleft()
+        if (u, p) == target:
+            break
+        for w in sorted(g.adj[u]):
+            nxt = (w, 1 - p)
+            if nxt not in dist:
+                dist[nxt] = dist[(u, p)] + 1
+                parent[nxt] = (u, p)
+                queue.append(nxt)
+    if target not in dist:
+        return None
+    walk = []
+    cur = target
+    while cur != start:
+        walk.append(cur[0])
+        cur = parent[cur]
+    walk.append(v)
+    return walk[::-1]
+
+
+class _BudgetExceeded(Exception):
+    pass
+
+
+def has_cycle_of_length(g, k, budget=10**7):
+    expansions = 0
+    for s in range(g.n):
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        path = [s]
+        on_path = {s}
+
+        def dfs(u, remaining):
+            nonlocal expansions
+            expansions += 1
+            if expansions > budget:
+                raise _BudgetExceeded
+            if remaining == 0:
+                return path + [s] if s in g.adj[u] else None
+            for w in sorted(g.adj[u]):
+                if w <= s or w in on_path:
+                    continue
+                if dist.get(w, k + 1) > remaining:
+                    continue
+                path.append(w)
+                on_path.add(w)
+                found = dfs(w, remaining - 1)
+                if found is not None:
+                    return found
+                path.pop()
+                on_path.remove(w)
+            return None
+
+        try:
+            found = dfs(s, k - 1)
+        except _BudgetExceeded:
+            return CycleSearch(UNKNOWN, None, expansions)
+        if found is not None:
+            return CycleSearch(YES, found, expansions)
+    return CycleSearch(NO, None, expansions)
+
+
+def cycle_through_edge(h, e, length):
+    x, y = e
+    dist = {x: 0}
+    queue = deque([x])
+    while queue:
+        u = queue.popleft()
+        for w in h.adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    path = [y]
+    on_path = {y}
+
+    def dfs(u, remaining):
+        if remaining == 0:
+            return list(path) if u == x else None
+        for w in sorted(h.adj[u]):
+            if w in on_path or dist.get(w, length + 1) > remaining:
+                continue
+            if w == x and remaining != 1:
+                continue
+            path.append(w)
+            on_path.add(w)
+            found = dfs(w, remaining - 1)
+            if found is not None:
+                return found
+            path.pop()
+            on_path.remove(w)
+        return None
+
+    found = dfs(y, length - 1)
+    if found is None:
+        return None
+    return [x] + found
+
+
+def cycle_through_vertex_status(g, w, length, budget):
+    expansions = 0
+    path = [w]
+    on_path = {w}
+
+    class Budget(Exception):
+        pass
+
+    def dfs(u, remaining):
+        nonlocal expansions
+        expansions += 1
+        if expansions > budget:
+            raise Budget
+        if remaining == 0:
+            return w in g.adj[u]
+        for x in sorted(g.adj[u]):
+            if x in on_path:
+                continue
+            path.append(x)
+            on_path.add(x)
+            if dfs(x, remaining - 1):
+                return True
+            path.pop()
+            on_path.remove(x)
+        return False
+
+    try:
+        return (YES, expansions) if dfs(w, length - 1) else (NO, expansions)
+    except Budget:
+        return (UNKNOWN, expansions)
+
+
+def c4_chain(h, start_edges, goal):
+    goal = canon_edge(*goal)
+    starts = sorted(canon_edge(*e) for e in start_edges)
+    if goal in starts:
+        return []
+    bundles = c4_bundles(h)
+    edge_bundles = {}
+    for idx, (u, w, common) in enumerate(bundles):
+        for x in common:
+            for hub in (u, w):
+                edge_bundles.setdefault(canon_edge(hub, x), []).append(idx)
+    parent = {e: None for e in starts}
+    queue = deque(starts)
+    spent = set()
+    while queue:
+        e = queue.popleft()
+        if e == goal:
+            break
+        for idx in edge_bundles.get(e, []):
+            if idx in spent:
+                continue
+            spent.add(idx)
+            u, w, common = bundles[idx]
+            members = sorted(
+                {canon_edge(u, x) for x in common} | {canon_edge(w, x) for x in common}
+            )
+            for e2 in members:
+                if e2 not in parent:
+                    parent[e2] = (e, _bundle_c4(u, w, common, e, e2))
+                    queue.append(e2)
+    if goal not in parent:
+        return None
+    chain = []
+    cur = goal
+    while parent[cur] is not None:
+        prev, four = parent[cur]
+        chain.append((prev, four, cur))
+        cur = prev
+    return chain[::-1]
+
+
+def are_homotopic(g, p, q, length_cap=None, state_cap=10**6):
+    if length_cap is None:
+        length_cap = max(p.length, q.length) + 6
+    if (p.start, p.end) != (q.start, q.end):
+        return HomotopyVerdict(NOT_HOMOTOPIC, separator="endpoints differ")
+    if p.parity() != q.parity():
+        return HomotopyVerdict(NOT_HOMOTOPIC, separator="parity differs")
+    oracle = InvariantOracle(GraphHom.identity(g))
+    spec = oracle.separating_spec(p.edge_multiset(), q.edge_multiset())
+    if spec is not None:
+        return HomotopyVerdict(NOT_HOMOTOPIC, separator=spec)
+    if p.vertices == q.vertices:
+        return HomotopyVerdict(HOMOTOPIC, moves=[])
+    sides = [
+        {"seen": {p.vertices: None}, "frontier": deque([p.vertices])},
+        {"seen": {q.vertices: None}, "frontier": deque([q.vertices])},
+    ]
+    explored = 0
+    meet = None
+    while meet is None and (sides[0]["frontier"] or sides[1]["frontier"]):
+        if explored >= state_cap:
+            return HomotopyVerdict(UNKNOWN, states_explored=explored)
+        idx = 0 if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else 1
+        if not sides[idx]["frontier"]:
+            idx = 1 - idx
+        side, other = sides[idx], sides[1 - idx]
+        for _ in range(len(side["frontier"])):
+            state = side["frontier"].popleft()
+            explored += 1
+            if explored > state_cap:
+                return HomotopyVerdict(UNKNOWN, states_explored=explored)
+            for move, succ in legal_moves(Walk(g, state), length_cap):
+                key = succ.vertices
+                if key in side["seen"]:
+                    continue
+                side["seen"][key] = (state, move)
+                side["frontier"].append(key)
+                if key in other["seen"]:
+                    meet = key
+                    break
+            if meet is not None:
+                break
+    if meet is None:
+        return HomotopyVerdict(UNKNOWN, states_explored=explored)
+    forward = _path_moves(sides[0]["seen"], meet)
+    backward = _path_moves(sides[1]["seen"], meet)
+    moves = [move for _, move in forward]
+    current = Walk(g, meet)
+    for before_vertices, move in reversed(backward):
+        inv = inverse_move(Walk(g, before_vertices), move)
+        moves.append(inv)
+        current = apply_move(current, inv)
+    assert replay_moves(p, moves) == q
+    return HomotopyVerdict(HOMOTOPIC, moves=moves, states_explored=explored)
+
+
+def _path_moves(seen, state):
+    chain = []
+    while seen[state] is not None:
+        prev, move = seen[state]
+        chain.append((prev, move))
+        state = prev
+    return chain[::-1]
+
+
+def equivalent_edge_paths(k, q1, q2, length_cap=None, state_cap=10**5):
+    if q1.vertices == q2.vertices:
+        return HOMOTOPIC
+    if length_cap is None:
+        length_cap = max(len(q1.vertices), len(q2.vertices)) + 4
+    sides = [
+        {"seen": {q1.vertices}, "frontier": deque([q1.vertices])},
+        {"seen": {q2.vertices}, "frontier": deque([q2.vertices])},
+    ]
+    explored = 0
+    while sides[0]["frontier"] or sides[1]["frontier"]:
+        idx = 0 if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else 1
+        if not sides[idx]["frontier"]:
+            idx = 1 - idx
+        side, other = sides[idx], sides[1 - idx]
+        for _ in range(len(side["frontier"])):
+            state = side["frontier"].popleft()
+            explored += 1
+            if explored > state_cap:
+                return UNKNOWN
+            for succ in _edgepath_moves(k, state, length_cap):
+                if succ in side["seen"]:
+                    continue
+                side["seen"].add(succ)
+                side["frontier"].append(succ)
+                if succ in other["seen"]:
+                    return HOMOTOPIC
+    return UNKNOWN
+
+
+def hom_exists(g, h, node_budget=10**6):
+    """(status, vertex map or None, nodes) of the recursive backtracker."""
+    if g.n == 0:
+        return FOUND, (), 0
+    if h.n == 0:
+        return NONE, None, 0
+    value_order = sorted(range(h.n), key=lambda x: (-h.degree(x), x))
+    domains = {v: list(value_order) for v in range(g.n)}
+    assignment = {}
+    nodes = 0
+
+    def select():
+        return min(
+            (v for v in range(g.n) if v not in assignment),
+            key=lambda v: (len(domains[v]), v),
+        )
+
+    def search() -> Optional[bool]:
+        nonlocal nodes
+        if len(assignment) == g.n:
+            return True
+        v = select()
+        for x in list(domains[v]):
+            nodes += 1
+            if nodes > node_budget:
+                return None
+            assignment[v] = x
+            trimmed = []
+            ok = True
+            for w in g.adj[v]:
+                if w in assignment:
+                    if not h.has_edge(x, assignment[w]):
+                        ok = False
+                        break
+                    continue
+                allowed = [y for y in domains[w] if h.has_edge(x, y)]
+                if not allowed:
+                    ok = False
+                    break
+                trimmed.append((w, domains[w]))
+                domains[w] = allowed
+            if ok:
+                result = search()
+                if result:
+                    return True
+                if result is None:
+                    return None
+            for w, old in trimmed:
+                domains[w] = old
+            del assignment[v]
+        return False
+
+    outcome = search()
+    if outcome is None:
+        return TIMEOUT, None, nodes
+    if not outcome:
+        return NONE, None, nodes
+    return FOUND, tuple(assignment[v] for v in range(g.n)), nodes
