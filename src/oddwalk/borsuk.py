@@ -120,16 +120,21 @@ class SphereSample:
         return math.acos(max(-1.0, min(1.0, dot)))
 
 
+def _unit_vector(d: int, stream: Stream) -> list[float]:
+    """A uniform point of the unit sphere in R^d: d normalised Gaussians,
+    drawn again while their norm is (nearly) zero."""
+    while True:
+        coords = [stream.gaussian() for _ in range(d)]
+        norm = math.sqrt(sum(c * c for c in coords))
+        if norm > 1e-9:
+            return [c / norm for c in coords]
+
+
 def _sample_points(n: int, count: int, stream: Stream) -> np.ndarray:
     d = n + 1
     rows = np.empty((2 * count, d), dtype=np.float64)
     for t in range(count):
-        while True:
-            coords = [stream.gaussian() for _ in range(d)]
-            norm = math.sqrt(sum(c * c for c in coords))
-            if norm > 1e-9:
-                break
-        row = [c / norm for c in coords]
+        row = _unit_vector(d, stream)
         rows[2 * t] = row
         rows[2 * t + 1] = [-c for c in row]
     return rows
@@ -238,12 +243,7 @@ def covering_radius_estimate(
         take = min(block, probes - done)
         probe_pts = np.empty((take, n + 1))
         for t in range(take):
-            while True:
-                coords = [stream.gaussian() for _ in range(n + 1)]
-                norm = math.sqrt(sum(c * c for c in coords))
-                if norm > 1e-9:
-                    break
-            probe_pts[t] = [c / norm for c in coords]
+            probe_pts[t] = _unit_vector(n + 1, stream)
         dots = probe_pts @ sample.points.T
         best = np.clip(dots.max(axis=1), -1.0, 1.0)
         worst = max(worst, float(np.arccos(best).max()))

@@ -1,7 +1,8 @@
 """Command-line interface: every subcommand runs one operation or
 experiment, revalidates its witnesses, and emits a JSON report.
 
-Exit codes: 0 success, 1 hypothesis/verification failure, 2 usage error.
+Exit codes: 0 success, 1 hypothesis/verification failure, 2 usage error,
+3 internal error (an exception that is not an OddwalkError, i.e. a bug).
 Reports keep a stable field order with all timing isolated under "timing",
 so fixed seeds reproduce byte-identical documents up to that block.
 """
@@ -43,6 +44,7 @@ SCHEMA_VERSION = 1
 
 USAGE_ERROR = 2
 FAILURE = 1
+INTERNAL_ERROR = 3
 
 
 def _read(path: str) -> str:
@@ -566,6 +568,11 @@ def run_cli(argv) -> tuple[int, dict]:
         report = {"error": str(exc), "kind": type(exc).__name__}
         sys.stderr.write(f"failure: {exc}\n")
         return FAILURE, report
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}"
+        report = {"error": message, "kind": "InternalError"}
+        sys.stderr.write(f"internal error: {message}\n")
+        return INTERNAL_ERROR, report
     _emit(report, args)
     return code, report
 

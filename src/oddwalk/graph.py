@@ -14,9 +14,20 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ParseError, RefusalError
-from .traverse import NO, UNKNOWN, YES, bfs, depths, path_to_root, simple_path_dfs
+from .traverse import (
+    NO,
+    UNKNOWN,
+    YES,
+    bfs,
+    depths,
+    odd_closed_walk_length,
+    path_to_root,
+    simple_path_dfs,
+)
 
 INFINITE = math.inf
+# largest vertex count parse_graph accepts, checked before anything is allocated
+MAX_VERTICES = 10**6
 
 
 def canon_edge(u: int, v: int) -> tuple[int, int]:
@@ -103,7 +114,8 @@ def parse_graph(text: str) -> Graph:
     Optional first data line "n <count>" declares the vertex count (allowing
     isolated vertices); otherwise it is 1 + the largest id seen.  One edge
     per line as "u v".  Lines starting with "#" and blank lines are ignored.
-    Duplicate edges collapse; self-loops are rejected.
+    Duplicate edges collapse; self-loops are rejected.  Graphs with more
+    than MAX_VERTICES vertices are refused with an InputError.
     """
     declared_n: Optional[int] = None
     edges: list[tuple[int, int]] = []
@@ -123,6 +135,10 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: bad vertex count {parts[1]!r}")
             if declared_n < 0:
                 raise ParseError(f"line {lineno}: negative vertex count")
+            if declared_n > MAX_VERTICES:
+                raise InputError(
+                    f"line {lineno}: vertex count {declared_n} exceeds the limit {MAX_VERTICES}"
+                )
             saw_data = True
             continue
         saw_data = True
@@ -136,6 +152,10 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"line {lineno}: negative vertex id in {line!r}")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
+        if max(u, v) >= MAX_VERTICES:
+            raise InputError(
+                f"line {lineno}: vertex id {max(u, v)} exceeds the limit {MAX_VERTICES - 1}"
+            )
         edges.append(canon_edge(u, v))
         max_id = max(max_id, u, v)
     n = max_id + 1 if declared_n is None else declared_n
@@ -244,16 +264,26 @@ def odd_girth(g: Graph) -> float:
 def shortest_odd_cycle(g: Graph) -> Optional[list[int]]:
     """A shortest odd cycle as a closed vertex list, or None if bipartite.
 
-    Shortest odd closed walks never repeat vertices, so the double-cover
-    distance from (v, 0) to (v, 1), minimized over v, is the odd girth.
+    From a root v, let k be the first BFS layer that contains an edge a-b.
+    The walk v -> a, a-b, b -> v is an odd closed walk of length 2k + 1.
+    No odd closed walk through v is shorter: an odd closed walk must use an
+    edge inside one layer, at some depth j >= k, and getting there and back
+    takes 2j steps.  So each root's scan stops once 2k + 1 reaches the best
+    length found so far (Itai & Rodeh, SIAM J. Comput. 1978).  Roots are
+    scanned in ascending order and only a strict improvement replaces the
+    best, so the smallest root among the shortest wins; its walk is the
+    double-cover BFS walk of `double_cover_odd_walk`.  Shortest odd closed
+    walks never repeat vertices, so that walk is a cycle.
     """
-    best: Optional[list[int]] = None
+    best_length: float = INFINITE
+    best_root: Optional[int] = None
     for v in range(g.n):
-        walk = double_cover_odd_walk(g, v)
-        if walk is not None and (best is None or len(walk) < len(best)):
-            best = walk
-    if best is None:
+        length = odd_closed_walk_length(g.sorted_adj, v, best_length)
+        if length is not None:
+            best_length, best_root = length, v
+    if best_root is None:
         return None
+    best = double_cover_odd_walk(g, best_root)
     assert len(set(best[:-1])) == len(best) - 1, "shortest odd closed walk must be a cycle"
     return best
 

@@ -9,6 +9,7 @@ bound on the smallest admissible quotient, never a lower bound.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -44,8 +45,9 @@ def hom_exists(g: Graph, h: Graph, node_budget: int = 10**6) -> HomSearchResult:
     """Backtracking search for a homomorphism g -> h.
 
     Values are tried by descending target degree; the next variable is the
-    one with the smallest remaining domain; assigning a vertex prunes its
-    neighbors' domains to the image's neighborhood (forward checking).
+    one with the smallest remaining domain, ties to the smallest id;
+    assigning a vertex prunes its neighbors' domains to the image's
+    neighborhood (forward checking).
     Each stack frame holds a variable, its untried values and the domains
     its current value trimmed.
     """
@@ -58,12 +60,21 @@ def hom_exists(g: Graph, h: Graph, node_budget: int = 10**6) -> HomSearchResult:
     domains: dict[int, list[int]] = {v: list(value_order) for v in range(g.n)}
     assignment: dict[int, int] = {}
     nodes = 0
+    # lazy min-heap of (domain size, vertex), sorted and so a heap to start
+    # with: an entry is current while its vertex is unassigned with that
+    # domain size, and every change of either pushes a current entry
+    queue = [(h.n, v) for v in range(g.n)]
 
     def select() -> int:
-        return min(
-            (v for v in range(g.n) if v not in assignment),
-            key=lambda v: (len(domains[v]), v),
-        )
+        while True:
+            size, v = queue[0]
+            if v not in assignment and len(domains[v]) == size:
+                return v
+            heapq.heappop(queue)
+
+    def set_domain(w: int, values: list[int]) -> None:
+        domains[w] = values
+        heapq.heappush(queue, (len(values), w))
 
     def forward_check(v: int, x: int, trimmed: list) -> bool:
         for w in g.adj[v]:
@@ -75,7 +86,7 @@ def hom_exists(g: Graph, h: Graph, node_budget: int = 10**6) -> HomSearchResult:
             if not allowed:
                 return False
             trimmed.append((w, domains[w]))
-            domains[w] = allowed
+            set_domain(w, allowed)
         return True
 
     stack: list[tuple[int, Iterator[int], list[tuple[int, list[int]]]]] = []
@@ -93,9 +104,10 @@ def hom_exists(g: Graph, h: Graph, node_budget: int = 10**6) -> HomSearchResult:
         v, values, trimmed = stack[-1]
         if v in assignment:  # retract the value tried last
             for w, old in trimmed:
-                domains[w] = old
+                set_domain(w, old)
             trimmed.clear()
             del assignment[v]
+            heapq.heappush(queue, (len(domains[v]), v))
         x = next(values, None)
         if x is None:
             stack.pop()

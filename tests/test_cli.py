@@ -4,7 +4,8 @@ import math
 import pytest
 
 from graphs import complete, cycle, petersen
-from oddwalk.cli import parse_epsilon, run_cli
+from oddwalk import cli
+from oddwalk.cli import FAILURE, INTERNAL_ERROR, USAGE_ERROR, parse_epsilon, run_cli
 from oddwalk.errors import InputError
 from oddwalk.graph import parse_graph, serialize_graph
 
@@ -50,6 +51,19 @@ def test_usage_error_exit_codes(tmp_path):
     bad.write_text("0 0\n")
     code, _ = run_cli(["odd-girth", "--graph", str(bad)])
     assert code == 2
+
+
+def test_internal_error_gets_its_own_exit_code_and_report(tmp_path, monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "cmd_odd_girth", broken)
+    path = write_graph(tmp_path, "c5.el", cycle(5))
+    code, report = run_cli(["odd-girth", "--graph", path])
+    assert code == INTERNAL_ERROR
+    assert INTERNAL_ERROR not in (0, FAILURE, USAGE_ERROR)
+    assert report == {"error": "KeyError: 'missing'", "kind": "InternalError"}
+    assert "internal error: KeyError" in capsys.readouterr().err
 
 
 def test_gen_borsuk_deterministic_files(tmp_path, capsys):

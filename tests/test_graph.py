@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphs import complete, cycle, example7, fuzz_corpus, petersen, random_graph
+from oddwalk import graph as graph_module
 from oddwalk.errors import InputError, ParseError, RefusalError
 from oddwalk.graph import (
     INFINITE,
+    MAX_VERTICES,
     NO,
     UNKNOWN,
     YES,
@@ -109,6 +111,20 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_header_bound_enforced():
     with pytest.raises(ParseError):
         parse_graph("n 2\n0 5\n")
+
+
+def test_parse_refuses_vertex_counts_above_the_limit(monkeypatch):
+    def no_graph(n, edges):
+        raise AssertionError(f"built a graph with {n} vertices")
+
+    # a guard that let these through would allocate the vertex count
+    monkeypatch.setattr(graph_module, "Graph", no_graph)
+    with pytest.raises(InputError, match="vertex count 1000000000000 exceeds the limit"):
+        parse_graph("n 1000000000000\n0 1\n")
+    with pytest.raises(InputError, match=f"vertex id {MAX_VERTICES} exceeds the limit"):
+        parse_graph(f"0 1\n1 {MAX_VERTICES}\n")
+    with pytest.raises(AssertionError, match=f"with {MAX_VERTICES} vertices"):
+        parse_graph(f"n {MAX_VERTICES}\n")
 
 
 @st.composite

@@ -28,7 +28,7 @@ from oddwalk.graph import (
 from oddwalk.homotopy import Walk, are_homotopic
 from oddwalk.homsearch import hom_exists
 from oddwalk.ncomplex import build_ncomplex, equivalent_edge_paths, walk_to_edgepath
-from oddwalk.traverse import bfs, depths, path_to_root, simple_path_dfs
+from oddwalk.traverse import bfs, depths, odd_closed_walk_length, path_to_root, simple_path_dfs
 
 EPS5 = math.pi / 5
 BUDGETS = (3, 50, 10**7)  # the small ones run out: UNKNOWN with budget + 1 expansions
@@ -53,7 +53,18 @@ def check_bipartite_and_walks(g):
     else:
         assert witness == expected_witness
     for v in range(g.n):
-        assert double_cover_odd_walk(g, v) == ref.double_cover_odd_walk(g, v)
+        walk = double_cover_odd_walk(g, v)
+        assert walk == ref.double_cover_odd_walk(g, v)
+        # the layered kernel's length is the double-cover distance
+        length = odd_closed_walk_length(g.sorted_adj, v, math.inf)
+        if walk is None:
+            assert length is None
+            continue
+        assert length == len(walk) - 1
+        # the bound is exclusive: a walk of exactly the bound is not reported
+        assert odd_closed_walk_length(g.sorted_adj, v, length) is None
+        assert odd_closed_walk_length(g.sorted_adj, v, length + 1) == length
+    assert shortest_odd_cycle(g) == ref.shortest_odd_cycle(g)
 
 
 def check_cycle_searches(g, lengths, budgets=BUDGETS):
@@ -127,6 +138,11 @@ def test_kernels_match_reference_on_300_vertex_sample():
         assert c4_chain(g, starts, goal) == ref.c4_chain(g, starts, goal)
 
 
+def test_shortest_odd_cycle_on_a_deep_cycle():
+    g = cycle(1501)  # 750 BFS layers from every root
+    assert shortest_odd_cycle(g) == ref.shortest_odd_cycle(g) == list(range(1501)) + [0]
+
+
 def random_walk(rnd, g, start, length):
     vs = [start]
     for _ in range(length):
@@ -179,8 +195,10 @@ def test_equivalent_edge_paths_matches_reference(g):
 
 
 def test_hom_exists_matches_reference():
-    targets = [complete(2), complete(3), cycle(5), petersen()]
-    sources = fuzz_corpus() + [path(7), cycle(6), Graph(3, [])]
+    # an edgeless target makes every search with an edge exhaust its frames,
+    # and isolated vertices leave the heap holding only full domains
+    targets = [complete(2), complete(3), cycle(5), petersen(), Graph(3, [])]
+    sources = fuzz_corpus() + [path(7), cycle(6), Graph(3, []), Graph(5, [(2, 4)])]
     for g in sources:
         for h in targets:
             for budget in (5, 60, 10**5):

@@ -5,12 +5,14 @@ searches the library used before its three traversal kernels;
 test_traverse.py requires the library to agree with them exactly: same
 walks, witnesses, statuses, expansion counts, node counts and
 states_explored.  The recursive ones are only run on inputs shallow
-enough for Python's recursion limit.
+enough for Python's recursion limit.  `shortest_odd_cycle` is the
+n-pass odd-girth search that the depth cut-off replaced.
 """
 
 from collections import deque
 from typing import Optional
 
+from oddwalk import graph
 from oddwalk.closure import GraphHom, InvariantOracle, c4_bundles
 from oddwalk.coloring import _bundle_c4
 from oddwalk.graph import NO, UNKNOWN, YES, CycleSearch, canon_edge
@@ -86,6 +88,17 @@ def double_cover_odd_walk(g, v):
         cur = parent[cur]
     walk.append(v)
     return walk[::-1]
+
+
+def shortest_odd_cycle(g):
+    # one full double-cover BFS per vertex, no depth cut-off; the library's
+    # walk is used, which the tests check against double_cover_odd_walk above
+    best = None
+    for v in range(g.n):
+        walk = graph.double_cover_odd_walk(g, v)
+        if walk is not None and (best is None or len(walk) < len(best)):
+            best = walk
+    return best
 
 
 class _BudgetExceeded(Exception):
