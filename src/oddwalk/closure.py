@@ -50,9 +50,6 @@ class GraphHom:
     def identity(cls, g: Graph) -> "GraphHom":
         return cls(g, g, tuple(range(g.n)))
 
-    def apply(self, v: int) -> int:
-        return self.mapping[v]
-
     def edge_image(self, e: tuple[int, int]) -> tuple[int, int]:
         return canon_edge(self.mapping[e[0]], self.mapping[e[1]])
 
@@ -116,9 +113,6 @@ class EdgeMultiset:
         if other.owner is not self.owner and other.owner != self.owner:
             raise InputError("cannot add multisets over different graphs")
         return EdgeMultiset(self.counts + other.counts, self.owner)
-
-    def restricted_size(self, edge_set) -> int:
-        return sum(m for e, m in self.counts.items() if e in edge_set)
 
     def support(self) -> frozenset:
         return frozenset(self.counts)

@@ -172,10 +172,8 @@ def color_ball(h: Graph, v: int, r: int) -> Coloring:
         for w in layer:
             assignment[w] = col.assignment[w] + offset
     out = Coloring(assignment, 4 * r)
-    ball = set(assignment)
-    for a, b in h.edges:
-        if a in ball and b in ball and assignment[a] == assignment[b]:
-            raise ViolationError("ball coloring is improper", witness=out)
+    if not out.is_proper(h, require_total=False):
+        raise ViolationError("ball coloring is improper", witness=out)
     return out
 
 
@@ -260,10 +258,8 @@ def color_closure_subgraph(h: Graph, f: tuple[int, int], r: int) -> Coloring:
             assignment[wv] = ball.assignment[wv] + offset
     palette = len(cycle_vertices) * 4 * r
     out = Coloring(assignment, palette)
-    colored = set(assignment)
-    for a, b in h1.edges:
-        if a in colored and b in colored and assignment[a] == assignment[b]:
-            raise ViolationError("closure coloring is improper", witness=out)
+    if not out.is_proper(h1, require_total=False):
+        raise ViolationError("closure coloring is improper", witness=out)
     if palette >= 8 * r * r:
         raise ViolationError(
             f"palette {palette} is not below {8 * r * r}", witness=out
@@ -311,7 +307,7 @@ class PipelineTrace:
         if eval_invariant(self.invariant, f, phi) != 1:
             raise ViolationError("recorded invariant no longer evaluates to 1")
         if not self.coloring.is_proper(phi.source):
-            raise ViolationError("recorded coloring is improper")
+            raise ViolationError("recorded coloring is improper", witness=self.coloring)
         if self.coloring.palette_size >= 8 * r * r and self.branch == EXTENSION:
             raise ViolationError("recorded palette breaks the bound")
         if self.branch == PRODUCT_4COLOR and self.coloring.palette_size > 4:
@@ -323,7 +319,6 @@ def bounded_coloring_pipeline(
     c: Walk,
     r: int,
     sc_certificate: bool = False,
-    freeness_budget: int = 10**7,
 ) -> tuple[Coloring, PipelineTrace]:
     """Run the full pipeline; returns a verified coloring and its trace.
 
@@ -349,7 +344,7 @@ def bounded_coloring_pipeline(
         )
     if not is_connected(g):
         raise HypothesisError("source is disconnected; it cannot be simply connected")
-    freeness = has_cycle_of_length(h, 2 * r + 1, budget=freeness_budget)
+    freeness = has_cycle_of_length(h, 2 * r + 1, budget=10**7)
     if freeness.status == YES:
         raise HypothesisError(
             f"target contains a {2 * r + 1}-cycle", certificate=freeness.witness
@@ -402,12 +397,6 @@ def bounded_coloring_pipeline(
                 provenance[v] = ("extended",)
         branch = EXTENSION
 
-    if not coloring.is_proper(g):
-        raise ViolationError("pipeline produced an improper coloring", witness=coloring)
-    if coloring.palette_size >= 8 * r * r and branch == EXTENSION:
-        raise ViolationError(
-            f"palette {coloring.palette_size} is not below {8 * r * r}"
-        )
     trace = PipelineTrace(
         pivot_edge=pivot,
         invariant=spec,

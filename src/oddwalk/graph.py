@@ -359,7 +359,7 @@ def degeneracy_order(g: Graph) -> tuple[list[int], int]:
     return order, degeneracy
 
 
-def greedy_coloring(g: Graph, order: Sequence[int], palette_size: Optional[int] = None) -> Coloring:
+def greedy_coloring(g: Graph, order: Sequence[int]) -> Coloring:
     """First-fit coloring along `order` (which may cover a vertex subset)."""
     assignment: dict[int, int] = {}
     top = 0
@@ -371,7 +371,7 @@ def greedy_coloring(g: Graph, order: Sequence[int], palette_size: Optional[int] 
             c += 1
         assignment[v] = c
         top = max(top, c + 1)
-    return Coloring(assignment, palette_size if palette_size is not None else max(top, 1))
+    return Coloring(assignment, max(top, 1))
 
 
 def connected_components(g: Graph) -> list[set[int]]:

@@ -78,11 +78,6 @@ class Walk:
     def reversed(self) -> "Walk":
         return Walk(self.graph, self.vertices[::-1])
 
-    def concat(self, other: "Walk") -> "Walk":
-        if self.end != other.start:
-            raise InputError("concatenation needs matching endpoints")
-        return Walk(self.graph, self.vertices + other.vertices[1:])
-
     def __eq__(self, other):
         return (
             isinstance(other, Walk)
@@ -199,24 +194,30 @@ def inverse_move(before: Walk, move: Move) -> Move:
     return Move(INS, move.index - 1, before.vertices[move.index])
 
 
+def _moves(g: Graph, vs: tuple[int, ...], length_cap: int):
+    """Every move applicable to the vertex tuple `vs` within the length cap,
+    as ((kind, index, vertex), successor tuple) pairs in sorted order:
+    deletions and substitutions by position, then insertions."""
+    adj, nbrs = g.adj, g.sorted_adj
+    k = len(vs) - 1
+    for i in range(1, k):
+        a, b = vs[i - 1], vs[i + 1]
+        if a == b:
+            yield (DEL, i, None), vs[:i] + vs[i + 2 :]
+        for v in sorted(adj[a] & adj[b]):
+            if v != vs[i]:
+                yield (SUB, i, v), vs[:i] + (v,) + vs[i + 1 :]
+    if k + 2 <= length_cap:
+        for i in range(k + 1):
+            head, tail = vs[: i + 1], (vs[i],) + vs[i + 1 :]
+            for w in nbrs[vs[i]]:
+                yield (INS, i, w), head + (w,) + tail
+
+
 def legal_moves(walk: Walk, length_cap: int):
     """All (move, successor) pairs within the length cap, in sorted order."""
     g = walk.graph
-    vs = walk.vertices
-    k = walk.length
-    out = []
-    for i in range(1, k):
-        if vs[i - 1] == vs[i + 1]:
-            out.append((Move(DEL, i), Walk(g, vs[:i] + vs[i + 2 :])))
-        common = g.adj[vs[i - 1]] & g.adj[vs[i + 1]]
-        for v in sorted(common):
-            if v != vs[i]:
-                out.append((Move(SUB, i, v), Walk(g, vs[:i] + (v,) + vs[i + 1 :])))
-    if k + 2 <= length_cap:
-        for i in range(k + 1):
-            for w in g.sorted_neighbors(vs[i]):
-                out.append((Move(INS, i, w), Walk(g, vs[: i + 1] + (w, vs[i]) + vs[i + 1 :])))
-    return out
+    return [(Move(*label), Walk(g, vs)) for label, vs in _moves(g, walk.vertices, length_cap)]
 
 
 @dataclass
@@ -265,17 +266,16 @@ def are_homotopic(
     if spec is not None:
         return HomotopyVerdict(NOT_HOMOTOPIC, separator=spec)
 
-    def successors(state):
-        return ((move, succ.vertices) for move, succ in legal_moves(Walk(g, state), length_cap))
-
-    explored, chains = meet_in_the_middle(p.vertices, q.vertices, successors, state_cap)
+    explored, chains = meet_in_the_middle(
+        p.vertices, q.vertices, lambda vs: _moves(g, vs, length_cap), state_cap
+    )
     if chains is None:
         return HomotopyVerdict(UNKNOWN, states_explored=explored)
     forward, backward = chains
     # invert the q-side path to continue from the meeting walk to q
-    moves = [move for _, move in forward]
-    for before_vertices, move in reversed(backward):
-        moves.append(inverse_move(Walk(g, before_vertices), move))
+    moves = [Move(*label) for _, label in forward]
+    for before, label in reversed(backward):
+        moves.append(inverse_move(Walk(g, before), Move(*label)))
     replayed = replay_moves(p, moves)
     assert replayed == q, "witness failed to replay"
     return HomotopyVerdict(HOMOTOPIC, moves=moves, states_explored=explored)

@@ -11,6 +11,7 @@ neighbors; the two translations are mutually inverse on representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import InputError, RefusalError
@@ -32,8 +33,7 @@ class SimplicialComplex:
         faces = sorted({frozenset(f) for f in maximal_faces if f}, key=lambda f: (len(f), sorted(f)))
         kept = [f for f in faces if not any(f < g for g in faces)]
         self.maximal_faces = tuple(sorted(kept, key=lambda f: sorted(f)))
-        self._edges: Optional[tuple] = None
-        self._triangles: Optional[tuple] = None
+        self._skeleta: dict[int, tuple] = {}
 
     def vertices(self) -> frozenset[int]:
         out: set[int] = set()
@@ -41,28 +41,20 @@ class SimplicialComplex:
             out |= f
         return frozenset(out)
 
-    def edges(self) -> tuple:
-        if self._edges is None:
+    def _skeleton(self, size: int) -> tuple:
+        """The faces of `size` vertices, as sorted tuples in ascending order."""
+        if size not in self._skeleta:
             found = set()
             for f in self.maximal_faces:
-                fs = sorted(f)
-                for i in range(len(fs)):
-                    for j in range(i + 1, len(fs)):
-                        found.add((fs[i], fs[j]))
-            self._edges = tuple(sorted(found))
-        return self._edges
+                found.update(combinations(sorted(f), size))
+            self._skeleta[size] = tuple(sorted(found))
+        return self._skeleta[size]
+
+    def edges(self) -> tuple:
+        return self._skeleton(2)
 
     def triangles(self) -> tuple:
-        if self._triangles is None:
-            found = set()
-            for f in self.maximal_faces:
-                fs = sorted(f)
-                for i in range(len(fs)):
-                    for j in range(i + 1, len(fs)):
-                        for k in range(j + 1, len(fs)):
-                            found.add((fs[i], fs[j], fs[k]))
-            self._triangles = tuple(sorted(found))
-        return self._triangles
+        return self._skeleton(3)
 
     def in_common_simplex(self, vertices) -> bool:
         vs = set(vertices)
@@ -108,9 +100,6 @@ class H1Descriptor:
     free_rank: int
     torsion: tuple[int, ...]
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"
@@ -120,18 +109,13 @@ def h1_homology(k: SimplicialComplex) -> H1Descriptor:
     """First homology over the integers from the 2-skeleton's boundary maps."""
     if not k.is_connected():
         raise RefusalError("complex is disconnected; compute components separately")
-    verts = sorted(k.vertices())
-    vidx = {v: i for i, v in enumerate(verts)}
     edges = k.edges()
     eidx = {e: i for i, e in enumerate(edges)}
     triangles = k.triangles()
     if not edges:
         return H1Descriptor(0, ())
-    d1 = [[0] * len(edges) for _ in verts]
-    for j, (a, b) in enumerate(edges):
-        d1[vidx[a]][j] = -1
-        d1[vidx[b]][j] = 1
-    rank_d1 = smith_normal_form(d1).rank
+    # d1 of a connected complex has rank |V| - 1
+    rank_d1 = len(k.vertices()) - 1
     if triangles:
         d2 = [[0] * len(triangles) for _ in edges]
         for j, (a, b, c) in enumerate(triangles):

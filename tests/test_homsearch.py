@@ -13,7 +13,6 @@ from oddwalk.homsearch import (
     TIMEOUT,
     fold_search,
     hom_exists,
-    verify_hom,
 )
 
 
@@ -29,7 +28,7 @@ def test_hom_exists_named():
     assert hom_exists(petersen(), cycle(5)).status == NONE
     r = hom_exists(cycle(7), cycle(5))
     assert r.status == FOUND
-    assert verify_hom(r.hom)
+    GraphHom(r.hom.source, r.hom.target, r.hom.mapping)  # raises on a non-homomorphism
 
 
 def test_hom_exists_found_witnesses_verify():
@@ -39,7 +38,7 @@ def test_hom_exists_found_witnesses_verify():
         h = random_graph(rnd.randint(1, 4), rnd.uniform(0.3, 0.9), 200 + trial)
         r = hom_exists(g, h)
         if r.status == FOUND:
-            assert verify_hom(r.hom)
+            GraphHom(r.hom.source, r.hom.target, r.hom.mapping)
 
 
 def test_hom_exists_agrees_with_brute_force_50_pairs():
@@ -81,13 +80,16 @@ def test_constant_map_fails_on_edges():
 
 def test_verify_hom_revalidates():
     g = complete(3)
-    assert verify_hom(GraphHom.identity(g))
-    # simulate a corrupted record that bypassed construction-time checks
+    identity = GraphHom.identity(g)
+    GraphHom(identity.source, identity.target, identity.mapping)
+    # simulate a corrupted record that bypassed construction-time checks:
+    # rebuilding it from its fields runs them again
     broken = object.__new__(GraphHom)
     object.__setattr__(broken, "source", g)
     object.__setattr__(broken, "target", g)
     object.__setattr__(broken, "mapping", (0, 0, 0))
-    assert not verify_hom(broken)
+    with pytest.raises(InputError):
+        GraphHom(broken.source, broken.target, broken.mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +102,7 @@ def test_fold_c5_reaches_k3():
     assert trace.final_graph.n == 3
     assert trace.final_graph.num_edges() == 3
     assert has_cycle_of_length(trace.final_graph, 7).status == "NO"
-    phi = GraphHom(cycle(5), trace.final_graph, trace.mapping)
-    assert verify_hom(phi)
+    GraphHom(cycle(5), trace.final_graph, trace.mapping)  # raises on a non-homomorphism
 
 
 def test_fold_c7_small_quotient_with_short_odd_cycle():
@@ -111,7 +112,7 @@ def test_fold_c7_small_quotient_with_short_odd_cycle():
         has_cycle_of_length(trace.final_graph, k).status for k in (3, 5)
     ]
     assert "YES" in girth_hits  # an odd-cycle image keeps an odd cycle
-    assert verify_hom(GraphHom(cycle(7), trace.final_graph, trace.mapping))
+    GraphHom(cycle(7), trace.final_graph, trace.mapping)
 
 
 def test_fold_k4_is_rigid():
@@ -139,6 +140,6 @@ def test_fold_quotients_are_homomorphic_images():
             continue
         trace = fold_search(g, {5}, beam=2, budget=10**5, seed=trial)
         assert has_cycle_of_length(trace.final_graph, 5).status == "NO"
-        assert verify_hom(GraphHom(g, trace.final_graph, trace.mapping))
+        GraphHom(g, trace.final_graph, trace.mapping)
         assert trace.final_graph.n <= g.n
         done += 1

@@ -165,14 +165,39 @@ def walk_pairs(g, seed, count):
     return pairs
 
 
-@pytest.mark.parametrize("g", [example7(), complete(4), petersen(), cycle(5)], ids=repr)
+def moved_pairs(g, seed, count):
+    """Walk pairs (p, q) with q reached from p by 1-4 random legal moves,
+    drawn from the reference move generator."""
+    rnd = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        p = random_walk(rnd, g, rnd.randrange(g.n), rnd.randint(1, 5))
+        q = p
+        for _ in range(rnd.randint(1, 4)):
+            q = rnd.choice(ref.legal_moves(q, p.length + 4))[1]
+        pairs.append((p, q))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "g",
+    [example7(), complete(4), petersen(), cycle(5), sample_approximation(2, EPS5, 150, 5001).graph],
+    ids=repr,
+)
 def test_are_homotopic_matches_reference(g):
-    for p, q in walk_pairs(g, g.n, 12):
+    for p, q in walk_pairs(g, g.n, 12) + moved_pairs(g, g.n, 6):
         for cap in (1, 10, 400):
             got = are_homotopic(g, p, q, state_cap=cap)
             want = ref.are_homotopic(g, p, q, state_cap=cap)
             assert got.describe() == want.describe()
             assert got.states_explored == want.states_explored
+        # a tight length cap of the other parity than the walks: an
+        # insertion that would pass it is never made
+        tight = max(p.length, q.length) + 3
+        got = are_homotopic(g, p, q, length_cap=tight, state_cap=400)
+        want = ref.are_homotopic(g, p, q, length_cap=tight, state_cap=400)
+        assert got.describe() == want.describe()
+        assert got.states_explored == want.states_explored
 
 
 @pytest.mark.parametrize("g", [example7(), complete(4), cycle(5)], ids=repr)

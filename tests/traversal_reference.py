@@ -1,12 +1,14 @@
 """Pure-Python reference versions of the traversals `oddwalk.traverse` replaced.
 
 These are the hand-rolled BFS loops, recursive DFSes and bidirectional
-searches the library used before its three traversal kernels;
+searches the library used before its traversal kernels;
 test_traverse.py requires the library to agree with them exactly: same
 walks, witnesses, statuses, expansion counts, node counts and
 states_explored.  The recursive ones are only run on inputs shallow
 enough for Python's recursion limit.  `shortest_odd_cycle` is the
-n-pass odd-girth search that the depth cut-off replaced.
+n-pass odd-girth search that the depth cut-off replaced, and
+`legal_moves` the list-building move generator that `are_homotopic` used
+before its search ran on vertex tuples.
 """
 
 from collections import deque
@@ -17,13 +19,16 @@ from oddwalk.closure import GraphHom, InvariantOracle, c4_bundles
 from oddwalk.coloring import _bundle_c4
 from oddwalk.graph import NO, UNKNOWN, YES, CycleSearch, canon_edge
 from oddwalk.homotopy import (
+    DEL,
     HOMOTOPIC,
+    INS,
     NOT_HOMOTOPIC,
+    SUB,
     HomotopyVerdict,
+    Move,
     Walk,
     apply_move,
     inverse_move,
-    legal_moves,
     replay_moves,
 )
 from oddwalk.homsearch import FOUND, NONE, TIMEOUT
@@ -256,6 +261,26 @@ def c4_chain(h, start_edges, goal):
         chain.append((prev, four, cur))
         cur = prev
     return chain[::-1]
+
+
+def legal_moves(walk, length_cap):
+    """All (move, successor) pairs within the length cap, in sorted order."""
+    g = walk.graph
+    vs = walk.vertices
+    k = walk.length
+    out = []
+    for i in range(1, k):
+        if vs[i - 1] == vs[i + 1]:
+            out.append((Move(DEL, i), Walk(g, vs[:i] + vs[i + 2 :])))
+        common = g.adj[vs[i - 1]] & g.adj[vs[i + 1]]
+        for v in sorted(common):
+            if v != vs[i]:
+                out.append((Move(SUB, i, v), Walk(g, vs[:i] + (v,) + vs[i + 1 :])))
+    if k + 2 <= length_cap:
+        for i in range(k + 1):
+            for w in g.sorted_neighbors(vs[i]):
+                out.append((Move(INS, i, w), Walk(g, vs[: i + 1] + (w, vs[i]) + vs[i + 1 :])))
+    return out
 
 
 def are_homotopic(g, p, q, length_cap=None, state_cap=10**6):
