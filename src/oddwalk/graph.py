@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ParseError, RefusalError
@@ -342,20 +343,34 @@ def degeneracy_order(g: Graph) -> tuple[list[int], int]:
     """Repeated minimum-degree removal (ties to the smallest id).
 
     Returns (removal order, degeneracy).  Greedy coloring along the reversed
-    order uses at most degeneracy + 1 colors.
+    order uses at most degeneracy + 1 colors.  A bucket queue by current
+    degree, each bucket a heap of ids, finds the next vertex; entries left
+    behind in a higher bucket by a degree drop are skipped when popped.
     """
-    deg = {v: g.degree(v) for v in range(g.n)}
-    removed: set[int] = set()
+    deg = [len(a) for a in g.adj]
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v in range(g.n):
+        buckets[deg[v]].append(v)  # ascending ids, so each bucket is a heap
+    removed = [False] * g.n
     order: list[int] = []
-    degeneracy = 0
-    for _ in range(g.n):
-        v = min((u for u in deg if u not in removed), key=lambda u: (deg[u], u))
-        degeneracy = max(degeneracy, deg[v])
+    degeneracy = d = 0
+    while len(order) < g.n:
+        bucket = buckets[d]
+        if not bucket:
+            d += 1
+            continue
+        v = heappop(bucket)
+        if deg[v] != d:
+            continue
+        degeneracy = max(degeneracy, d)
         order.append(v)
-        removed.add(v)
+        removed[v] = True
         for w in g.adj[v]:
-            if w not in removed:
+            if not removed[w]:
                 deg[w] -= 1
+                heappush(buckets[deg[w]], w)
+        # a removal lowers the minimum degree by at most one
+        d = max(d - 1, 0)
     return order, degeneracy
 
 

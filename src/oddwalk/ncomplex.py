@@ -10,7 +10,9 @@ neighbors; the two translations are mutually inverse on representatives.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -110,26 +112,99 @@ def h1_homology(k: SimplicialComplex) -> H1Descriptor:
     if not k.is_connected():
         raise RefusalError("complex is disconnected; compute components separately")
     edges = k.edges()
-    eidx = {e: i for i, e in enumerate(edges)}
-    triangles = k.triangles()
     if not edges:
         return H1Descriptor(0, ())
-    # d1 of a connected complex has rank |V| - 1
-    rank_d1 = len(k.vertices()) - 1
-    if triangles:
-        d2 = [[0] * len(triangles) for _ in edges]
-        for j, (a, b, c) in enumerate(triangles):
-            d2[eidx[(b, c)]][j] = 1
-            d2[eidx[(a, c)]][j] = -1
-            d2[eidx[(a, b)]][j] = 1
-        snf2 = smith_normal_form(d2)
-        rank_d2 = snf2.rank
-        torsion = tuple(d for d in snf2.diagonal if d > 1)
-    else:
-        rank_d2 = 0
-        torsion = ()
-    free_rank = len(edges) - rank_d1 - rank_d2
-    return H1Descriptor(free_rank, torsion)
+    eidx = {e: i for i, e in enumerate(edges)}
+    # In a face with smallest vertex v, triangle abc has the boundary of
+    # vbc - vac + vab, so each maximal face's triangles through its smallest
+    # vertex span the image of d2 over the integers: a seventh of all
+    # triangles on the 300-vertex pi/5 sample.  Column abc is bc - ac + ab.
+    cones = set()
+    for f in k.maximal_faces:
+        v, *rest = sorted(f)
+        cones.update((v, a, b) for a, b in combinations(rest, 2))
+    d2 = [{eidx[(b, c)]: 1, eidx[(a, c)]: -1, eidx[(a, b)]: 1} for a, b, c in sorted(cones)]
+    # the cycles ker d1 of a connected complex are free of rank |E| - (|V| - 1)
+    return _quotient(len(edges) - len(k.vertices()) + 1, d2)
+
+
+# The unit-pivot reduction refuses once it has created this many new nonzero
+# entries per nonzero entry of its input, which also bounds its memory.  The
+# 120- and 300-vertex pi/5 sphere samples need 0.9 and 1.1.
+FILL_IN_PER_NONZERO = 4
+
+
+def _quotient(rank: int, columns: list[dict[int, int]]) -> H1Descriptor:
+    """A free group of `rank` modulo the span of `columns` inside it; each
+    column maps a row to its nonzero entry."""
+    factors = _invariant_factors(columns)
+    return H1Descriptor(rank - len(factors), tuple(d for d in factors if d > 1))
+
+
+def _invariant_factors(cols: list[dict[int, int]]) -> list[int]:
+    """Nonzero invariant factors of a sparse integer matrix, ascending.
+
+    Eliminates +-1 pivots while any is left, each from the row with the
+    fewest nonzeros that holds one, in its unit column with the fewest
+    nonzeros.  Column operations clear the rest of the pivot row, after
+    which the pivot column needs only row operations, so both are dropped
+    and the pivot contributes a factor 1.  The dense Smith normal form runs
+    only on the core left without unit entries (Kaczynski, Mrozek &
+    Slusarek 1998).  The columns are reduced in place.
+    """
+    rows: dict[int, set[int]] = defaultdict(set)
+    for j, col in enumerate(cols):
+        for i in col:
+            rows[i].add(j)
+    cap = FILL_IN_PER_NONZERO * sum(map(len, cols))
+    fill = units = 0
+    queue = [(len(js), i) for i, js in rows.items()]
+    heapify(queue)
+    while queue:
+        count, i = heappop(queue)
+        js = rows[i]
+        if len(js) != count:
+            continue  # stale: the row changed after it was queued
+        best = min(((len(cols[j]), j) for j in js if cols[j][i] in (1, -1)), default=None)
+        if best is None:
+            continue  # queued again if an elimination changes it
+        j = best[1]
+        pivot = cols[j]
+        sign = pivot.pop(i)
+        for k in js:
+            if k == j:
+                continue
+            col = cols[k]
+            f = col.pop(i) * sign
+            for r, v in pivot.items():
+                old = col.get(r)
+                if old is None:
+                    col[r] = -f * v
+                    rows[r].add(k)
+                    fill += 1
+                elif old != f * v:
+                    col[r] = old - f * v
+                else:
+                    del col[r]
+                    rows[r].discard(k)
+        if fill > cap:
+            raise RefusalError(f"unit-pivot reduction exceeded its fill-in cap of {cap}")
+        units += 1
+        js.clear()
+        for r in pivot:
+            js_r = rows[r]
+            js_r.discard(j)
+            if js_r:
+                heappush(queue, (len(js_r), r))
+        pivot.clear()
+    core_rows = sorted(i for i, js in rows.items() if js)
+    core_cols = sorted({j for i in core_rows for j in rows[i]})
+    position = {i: p for p, i in enumerate(core_rows)}
+    core = [[0] * len(core_cols) for _ in core_rows]
+    for c, j in enumerate(core_cols):
+        for i, v in cols[j].items():
+            core[position[i]][c] = v
+    return [1] * units + smith_normal_form(core).diagonal
 
 
 @dataclass
@@ -342,21 +417,15 @@ def tietze_simplify(
 
 
 def presentation_abelianization(p: GroupPresentation) -> H1Descriptor:
-    """Abelianization of the presented group, from the Smith normal form of
-    the relator exponent-sum matrix."""
-    if p.num_generators == 0:
-        return H1Descriptor(0, ())
-    if not p.relators:
-        return H1Descriptor(p.num_generators, ())
-    matrix = []
+    """Abelianization of the presented group: the generators modulo the
+    relators' exponent sums."""
+    relators = []
     for w in p.relators:
-        row = [0] * p.num_generators
+        sums: dict[int, int] = defaultdict(int)
         for s in w:
-            row[abs(s) - 1] += 1 if s > 0 else -1
-        matrix.append(row)
-    snf = smith_normal_form(matrix)
-    torsion = tuple(d for d in snf.diagonal if d > 1)
-    return H1Descriptor(p.num_generators - snf.rank, torsion)
+            sums[abs(s) - 1] += 1 if s > 0 else -1
+        relators.append({g: e for g, e in sums.items() if e})
+    return _quotient(p.num_generators, relators)
 
 
 # ---------------------------------------------------------------------------

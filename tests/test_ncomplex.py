@@ -1,11 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphs import complete, cycle, random_connected_nonbipartite
+import homology_reference as ref
+from graphs import complete, cycle, fuzz_corpus, random_connected_nonbipartite
 from snf_reference import determinant, matrix_product
 from snf_reference import smith_normal_form as reference_snf
+from oddwalk import ncomplex
+from oddwalk.borsuk import sample_approximation
 from oddwalk.errors import InputError, RefusalError
 from oddwalk.graph import Graph
 from oddwalk.homotopy import HOMOTOPIC, Walk, legal_moves
@@ -152,17 +158,76 @@ def test_h1_refuses_disconnected():
         h1_homology(build_ncomplex(cycle(6)))
 
 
-def test_h1_torsion_projective_plane():
-    # minimal 6-vertex closed-surface triangulation with Euler characteristic
-    # 1 (every pair of vertices appears in exactly two faces): H1 = Z/2
-    rp2 = [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
-        (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5),
-    ]
-    k = SimplicialComplex([frozenset(f) for f in rp2])
+# minimal 6-vertex closed-surface triangulation with Euler characteristic 1
+# (every pair of vertices appears in exactly two faces): H1 = Z/2
+RP2 = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+    (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5),
+]
+
+
+def test_h1_torsion_projective_plane(monkeypatch):
+    cores = []
+
+    def spy(matrix):
+        cores.append((len(matrix), len(matrix[0]) if matrix else 0))
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(ncomplex, "smith_normal_form", spy)
+    k = SimplicialComplex([frozenset(f) for f in RP2])
     h = h1_homology(k)
     assert h.free_rank == 0
     assert h.torsion == (2,)
+    assert h == ref.h1_homology(k)
+    # the Z/2 survives no unit pivot: it comes out of a nonempty dense core
+    assert len(cores) == 1 and cores[0][0] * cores[0][1] > 0
+
+
+def test_h1_matches_dense_reference_on_corpus():
+    for g in fuzz_corpus():
+        for comp in build_ncomplex(g).components():
+            assert h1_homology(comp) == ref.h1_homology(comp)
+
+
+@st.composite
+def connected_complexes(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    faces = draw(
+        st.lists(
+            st.frozensets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=5),
+            max_size=14,
+        )
+    )
+    faces += [frozenset({v, v + 1}) for v in range(n - 1)]  # keeps it connected
+    if n >= 6 and draw(st.booleans()):
+        faces += [frozenset(v - 1 for v in f) for f in RP2]
+    return SimplicialComplex(faces)
+
+
+@given(connected_complexes())
+@settings(max_examples=200, deadline=None)
+def test_h1_matches_dense_reference_on_random_complexes(k):
+    assert h1_homology(k) == ref.h1_homology(k)
+
+
+def test_h1_fill_in_cap_refuses(monkeypatch):
+    # every edge of K6's complex lies on several columns of d2, so clearing
+    # a pivot row adds the pivot triangle's other edges to the rest of them
+    k = build_ncomplex(complete(6))
+    assert h1_homology(k).describe() == "0"
+    monkeypatch.setattr(ncomplex, "FILL_IN_PER_NONZERO", 0)
+    with pytest.raises(RefusalError):
+        h1_homology(k)
+
+
+def test_h1_on_sphere_samples():
+    # neither finished under the dense Smith normal form of d2
+    # (1,868 x 10,852 and 13,546 x 234,550)
+    g = sample_approximation(2, math.pi / 5, 60, 1).graph
+    h = h1_homology(build_ncomplex(g))
+    assert (h.free_rank, h.torsion) == (3, ())
+    g = sample_approximation(2, math.pi / 5, 150, 5001).graph
+    assert h1_homology(build_ncomplex(g)).describe() == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +291,26 @@ def test_presentation_free_rank_matches_h1():
         ab = presentation_abelianization(pres)
         assert ab.free_rank == h1.free_rank
         assert ab.torsion == h1.torsion
+
+
+@given(
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda gens: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=gens, max_size=gens),
+            max_size=6,
+        ).map(lambda rows: (gens, rows))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_abelianization_matches_dense_snf(case):
+    gens, rows = case
+    # relator g1^e1 g2^e2 ... has the exponent sums of its row
+    relators = tuple(
+        tuple(sym for g, e in enumerate(row, 1) for sym in [g if e > 0 else -g] * abs(e))
+        for row in rows
+    )
+    p = GroupPresentation(gens, relators)
+    assert presentation_abelianization(p) == ref.presentation_abelianization(p)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from oddwalk.coloring import _cycle_through_edge, c4_chain
 from oddwalk.graph import (
     Graph,
     canon_edge,
+    degeneracy_order,
     double_cover_odd_walk,
     has_cycle_of_length,
     is_bipartite,
@@ -98,6 +99,7 @@ def test_kernels_match_reference_on_corpus(index):
     check_bipartite_and_walks(g)
     check_cycle_searches(g, range(3, min(g.n, 8) + 1))
     check_c4_chains(g)
+    assert degeneracy_order(g) == ref.degeneracy_order(g)
 
 
 @st.composite
@@ -114,11 +116,13 @@ def test_kernels_match_reference_on_random_graphs(g):
     check_bipartite_and_walks(g)
     check_cycle_searches(g, range(3, min(g.n, 7) + 1), budgets=(3, 50, 10**5))
     check_c4_chains(g)
+    assert degeneracy_order(g) == ref.degeneracy_order(g)
 
 
 def test_kernels_match_reference_on_300_vertex_sample():
     g = sample_approximation(2, EPS5, 150, 5001).graph  # seed-pinned, 4,276 edges
     check_bipartite_and_walks(g)
+    assert degeneracy_order(g) == ref.degeneracy_order(g)
     for k in (3, 5, 7):
         for budget in (50, 10**4):
             got = has_cycle_of_length(g, k, budget=budget)

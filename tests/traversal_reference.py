@@ -8,7 +8,8 @@ states_explored.  The recursive ones are only run on inputs shallow
 enough for Python's recursion limit.  `shortest_odd_cycle` is the
 n-pass odd-girth search that the depth cut-off replaced, and
 `legal_moves` the list-building move generator that `are_homotopic` used
-before its search ran on vertex tuples.
+before its search ran on vertex tuples.  `degeneracy_order` is the
+minimum scan over every remaining vertex that the bucket queue replaced.
 """
 
 from collections import deque
@@ -436,3 +437,19 @@ def hom_exists(g, h, node_budget=10**6):
     if not outcome:
         return NONE, None, nodes
     return FOUND, tuple(assignment[v] for v in range(g.n)), nodes
+
+
+def degeneracy_order(g):
+    deg = {v: g.degree(v) for v in range(g.n)}
+    removed: set[int] = set()
+    order: list[int] = []
+    degeneracy = 0
+    for _ in range(g.n):
+        v = min((u for u in deg if u not in removed), key=lambda u: (deg[u], u))
+        degeneracy = max(degeneracy, deg[v])
+        order.append(v)
+        removed.add(v)
+        for w in g.adj[v]:
+            if w not in removed:
+                deg[w] -= 1
+    return order, degeneracy
