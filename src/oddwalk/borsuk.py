@@ -179,9 +179,8 @@ class ApproxGraph:
     def adjacency_matrix(self) -> np.ndarray:
         m = self.sample.size()
         a = np.zeros((m, m), dtype=bool)
-        for u, v in self.graph.edges:
-            a[u, v] = True
-            a[v, u] = True
+        for u, neighbours in enumerate(self.graph.sorted_adj):
+            a[u, neighbours] = True
         return a
 
     def dump(self) -> str:
@@ -338,33 +337,44 @@ def bracket_walk(g: ApproxGraph, ids: Sequence[int]) -> Walk:
     return Walk(g.graph, vertices)
 
 
-def _odd_walk_free(adjacency: np.ndarray, max_odd: int) -> bool:
-    """True iff there is no closed odd walk of length <= max_odd.
+def _odd_walk_free(adjacency: np.ndarray, length: int) -> bool:
+    """True iff the symmetric 0/1 `adjacency` has no closed walk of odd
+    length at most `length`, which must be odd and positive.
 
-    Uses binarized float32 matrix powers (entries stay 0/1 exactly), so the
-    check is exact while running at matrix-multiplication speed.
+    A shorter closed odd walk pads to exactly `length` steps by going back
+    and forth along one of its edges, so only that length is checked: a
+    closed walk of `length` steps exists iff some edge (u, v) carries a
+    u-v walk of length - 1 steps, that is iff <A^(length-1), A> > 0.  The
+    support of A^k, k = (length - 1) // 2, is built by squaring, and the
+    even power is its symmetric product b @ b.T, which numpy runs as a
+    symmetric BLAS product.  Each product is cut back to its 0/1 support
+    in place, so every entry sums at most n terms of 0 or 1, and float32
+    is exact for n below 2^24.
     """
+    if length == 1:
+        return not adjacency.diagonal().any()
     a = adjacency.astype(np.float32)
-    a2 = (np.matmul(a, a) > 0.5).astype(np.float32)
-    k = 1
-    current = a
-    while k <= max_odd:
-        if np.trace(current) > 0.5:
-            return False
-        if k + 2 > max_odd:
-            break
-        nxt = np.matmul(current, a2)
-        nxt = (nxt > 0.5).astype(np.float32)
-        current = nxt
-        k += 2
-    return True
+    b = a
+    # square and multiply over the bits of k below its leading one
+    for bit in bin(length // 2)[3:]:
+        b = b @ b.T
+        np.minimum(b, 1.0, out=b)
+        if bit == "1":
+            b = b @ a
+            np.minimum(b, 1.0, out=b)
+    del a
+    even = b @ b.T
+    del b
+    return not np.logical_and(even > 0.5, adjacency).any()
 
 
 def odd_girth_at_least(g: ApproxGraph, bound: int) -> bool:
-    """Exact check that no odd cycle shorter than `bound` exists."""
+    """Exact check that no odd cycle shorter than `bound` exists; holds
+    for every bound, odd or even."""
     if bound < 3:
         return True
-    return _odd_walk_free(g.adjacency_matrix(), bound - 2)
+    longest = bound - 2 if bound % 2 else bound - 1
+    return _odd_walk_free(g.adjacency_matrix(), longest)
 
 
 def find_noninjective_c2r3(

@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from oddwalk.graph import Graph
 
 
@@ -43,6 +45,15 @@ def random_graph(n, p, seed):
     rnd = random.Random(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < p]
     return Graph(n, edges)
+
+
+@st.composite
+def small_graphs(draw):
+    """Hypothesis strategy: a graph on 0-12 vertices, each pair an edge or not."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 def random_connected_nonbipartite(n, p, seed_start):

@@ -3,11 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from graphs import complete, cycle
+import borsuk_reference as ref
+from graphs import complete, cycle, example7, fuzz_corpus, path, petersen, small_graphs
 from oddwalk.borsuk import (
     ApproxGraph,
     SphereSample,
+    _odd_walk_free,
     bracket_walk,
     cap_measure,
     covering_radius_estimate,
@@ -121,8 +124,74 @@ def test_matrix_check_agrees_with_exact_odd_girth():
     for seed in range(6):
         g = sample_approximation(2, rnd.uniform(0.5, 1.2), 40, 500 + seed)
         girth = odd_girth(g.graph)
-        for bound in (3, 5, 7, 9):
+        for bound in range(3, 12):
             assert odd_girth_at_least(g, bound) == (girth == INFINITE or girth >= bound)
+
+
+def test_adjacency_matrix_matches_edges():
+    g = sample_approximation(2, EPS5, 150, 5)
+    a = g.adjacency_matrix()
+    m = g.sample.size()
+    assert a.shape == (m, m) and a.dtype == bool
+    assert np.array_equal(a, a.T)
+    assert not a.diagonal().any()
+    assert not a[np.arange(m), np.arange(m) ^ 1].any()
+    assert np.count_nonzero(a) == 2 * g.graph.num_edges()
+    assert all(a[u, v] for u, v in g.graph.edges)
+
+
+# ---------------------------------------------------------------------------
+# dense odd-girth kernel against the reference in borsuk_reference.py
+
+ODD_LENGTHS = (1, 3, 5, 7, 9, 11)
+
+
+def dense(g):
+    a = np.zeros((g.n, g.n), dtype=bool)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = True
+    return a
+
+
+def with_loop(g, v):
+    a = dense(g)
+    a[v, v] = True
+    return a
+
+
+KERNEL_CORPUS = (
+    [dense(cycle(k)) for k in range(3, 14)]
+    + [dense(g) for g in (petersen(), example7(), complete(2), complete(5), path(0), path(6))]
+    + [dense(g) for g in fuzz_corpus()]
+    + [with_loop(path(3), 1), with_loop(cycle(6), 0)]  # odd girth 1
+)
+
+
+def check_kernel(a):
+    for length in ODD_LENGTHS:
+        assert _odd_walk_free(a, length) == ref._odd_walk_free(a, length), length
+
+
+@pytest.mark.parametrize("index", range(len(KERNEL_CORPUS)))
+def test_odd_walk_kernel_matches_reference_on_corpus(index):
+    check_kernel(KERNEL_CORPUS[index])
+
+
+def test_odd_walk_kernel_at_odd_girth_boundary():
+    for length in ODD_LENGTHS:
+        below = with_loop(path(2), 0) if length == 1 else dense(cycle(length))
+        assert not _odd_walk_free(below, length)  # odd girth exactly `length`
+        assert _odd_walk_free(dense(cycle(length + 2)), length)
+
+
+@given(small_graphs())
+@settings(max_examples=120, deadline=None)
+def test_odd_walk_kernel_matches_reference_on_random_graphs(g):
+    a = dense(g)
+    check_kernel(a)
+    girth = odd_girth(g)
+    for length in ODD_LENGTHS:
+        assert _odd_walk_free(a, length) == (girth == INFINITE or girth > length)
 
 
 def test_sample_dump_round_trip():

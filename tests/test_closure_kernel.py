@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closure_reference as ref
-from graphs import complete, cycle, example7, fuzz_corpus, path, petersen, random_graph
+from graphs import complete, cycle, example7, fuzz_corpus, path, petersen, random_graph, small_graphs
 from oddwalk.borsuk import sample_approximation, tetrahedral_hom
 from oddwalk.closure import GraphHom, c4_bundles, c4_partition, phi_partition
 from oddwalk.graph import Graph, canon_edge
@@ -61,21 +61,13 @@ def test_kernel_matches_reference_on_corpus(index):
     check_graph(CORPUS[index])
 
 
-@st.composite
-def graphs(draw):
-    n = draw(st.integers(min_value=0, max_value=12))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, k in zip(pairs, keep) if k])
-
-
-@given(graphs())
+@given(small_graphs())
 @settings(max_examples=200, deadline=None)
 def test_kernel_matches_reference_on_random_graphs(g):
     check_graph(g)
 
 
-@given(graphs(), st.data())
+@given(small_graphs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_pullback_matches_reference_on_random_quotients(g, data):
     labels = data.draw(st.lists(st.integers(0, 4), min_size=g.n, max_size=g.n))

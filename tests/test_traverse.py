@@ -11,10 +11,9 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import traversal_reference as ref
-from graphs import complete, cycle, example7, fuzz_corpus, path, petersen
+from graphs import complete, cycle, example7, fuzz_corpus, path, petersen, small_graphs
 from oddwalk.borsuk import sample_approximation
 from oddwalk.coloring import _cycle_through_edge, c4_chain
 from oddwalk.graph import (
@@ -102,15 +101,7 @@ def test_kernels_match_reference_on_corpus(index):
     assert degeneracy_order(g) == ref.degeneracy_order(g)
 
 
-@st.composite
-def graphs(draw):
-    n = draw(st.integers(min_value=0, max_value=12))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, k in zip(pairs, keep) if k])
-
-
-@given(graphs())
+@given(small_graphs())
 @settings(max_examples=120, deadline=None)
 def test_kernels_match_reference_on_random_graphs(g):
     check_bipartite_and_walks(g)
