@@ -140,9 +140,11 @@ def _sample_points(n: int, count: int, stream: Stream) -> np.ndarray:
     return rows
 
 
-def _gram_blocks(points: np.ndarray, block: int = 1024):
+def _gram_blocks(points: np.ndarray, block: int = 256):
     """Yield (start, gram rows) with a reduction order independent of BLAS:
-    the gram is accumulated coordinate by coordinate."""
+    the gram is accumulated coordinate by coordinate.  The block size only
+    sets how many rows are held at once (small enough to stay in cache),
+    never an entry's value."""
     m, d = points.shape
     for start in range(0, m, block):
         rows = points[start : start + block]
@@ -166,15 +168,16 @@ class ApproxGraph:
         if not (0.0 < epsilon < math.pi):
             raise InputError("threshold must lie in (0, pi)")
         threshold = -math.cos(epsilon)
-        m = sample.size()
-        edges: list[tuple[int, int]] = []
+        # tuples, not lists: the garbage collector stops tracking a tuple of
+        # ints, while long lists are traversed at every collection of the
+        # generation they sit in
+        rows: list[tuple[int, ...]] = []
         for start, gram in _gram_blocks(sample.points):
-            rows, cols = np.nonzero(gram < threshold)
-            gi = rows + start
-            keep = (cols > gi) & (cols != (gi ^ 1))
-            edges.extend(zip(gi[keep].tolist(), cols[keep].tolist()))
-        edges.sort()
-        return cls(sample, epsilon, Graph.from_sorted_unique(m, edges))
+            near = gram < threshold
+            local = np.arange(len(near))
+            near[local, (local + start) ^ 1] = False  # the antipodal self-pairing
+            rows.extend(tuple(np.flatnonzero(row).tolist()) for row in near)
+        return cls(sample, epsilon, Graph.from_sorted_unique(sample.size(), rows))
 
     def adjacency_matrix(self) -> np.ndarray:
         m = self.sample.size()
@@ -342,30 +345,36 @@ def _odd_walk_free(adjacency: np.ndarray, length: int) -> bool:
     length at most `length`, which must be odd and positive.
 
     A shorter closed odd walk pads to exactly `length` steps by going back
-    and forth along one of its edges, so only that length is checked: a
-    closed walk of `length` steps exists iff some edge (u, v) carries a
-    u-v walk of length - 1 steps, that is iff <A^(length-1), A> > 0.  The
-    support of A^k, k = (length - 1) // 2, is built by squaring, and the
-    even power is its symmetric product b @ b.T, which numpy runs as a
-    symmetric BLAS product.  Each product is cut back to its 0/1 support
-    in place, so every entry sums at most n terms of 0 or 1, and float32
-    is exact for n below 2^24.
+    and forth along one of its edges, so only that length is checked.  Let
+    S_j[u] be the set of vertices that u reaches by a walk of exactly j
+    steps, k = (length - 1) // 2.  A closed walk of `length` steps exists
+    iff some edge (u, w) has S_k[u] and S_k[w] meeting.  Each S_j is a
+    matrix of bit rows packed into 64-bit words: S_1 is the adjacency
+    itself, and each of the k - 1 rounds ORs the rows of u's neighbours
+    into S_{j+1}[u].  The edge test ORs S_k over the neighbours w >= u and
+    ANDs it with S_k[u].  Diagonal entries count as edges (loops).  The
+    check is exact integer work with no bound on the vertex count.
     """
     if length == 1:
         return not adjacency.diagonal().any()
-    a = adjacency.astype(np.float32)
-    b = a
-    # square and multiply over the bits of k below its leading one
-    for bit in bin(length // 2)[3:]:
-        b = b @ b.T
-        np.minimum(b, 1.0, out=b)
-        if bit == "1":
-            b = b @ a
-            np.minimum(b, 1.0, out=b)
-    del a
-    even = b @ b.T
-    del b
-    return not np.logical_and(even > 0.5, adjacency).any()
+    n = len(adjacency)
+    neighbours = [np.flatnonzero(row) for row in adjacency]
+    words = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)  # whole 64-bit words
+    words[:, : -(-n // 8)] = np.packbits(adjacency, axis=1)
+    words = words.view(np.uint64)
+    for _ in range(length // 2 - 1):
+        words = _or_of_rows(words, neighbours)
+    above = [nbrs[np.searchsorted(nbrs, u) :] for u, nbrs in enumerate(neighbours)]
+    return not np.bitwise_and(words, _or_of_rows(words, above)).any()
+
+
+def _or_of_rows(words: np.ndarray, index_rows: list) -> np.ndarray:
+    """Row u of the result is the OR of the rows of `words` listed in
+    index_rows[u] (all zero for an empty list)."""
+    out = np.empty_like(words)
+    for u, idx in enumerate(index_rows):
+        np.bitwise_or.reduce(words[idx], axis=0, out=out[u])
+    return out
 
 
 def odd_girth_at_least(g: ApproxGraph, bound: int) -> bool:

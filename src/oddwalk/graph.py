@@ -10,8 +10,10 @@ All graphs are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ParseError, RefusalError
@@ -48,33 +50,39 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
-        seen = set()
+        rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            seen.add(canon_edge(u, v))
-        self._set_edges(n, tuple(sorted(seen)))
+            rows[u].append(v)
+            rows[v].append(u)
+        self._set_rows(n, [sorted(set(row)) for row in rows])
 
     @classmethod
-    def from_sorted_unique(cls, n: int, edges) -> "Graph":
-        """Bulk constructor for edges already canonical, sorted, deduplicated
-        and range-checked (sample builders); skips per-edge validation."""
+    def from_sorted_unique(cls, n: int, rows) -> "Graph":
+        """Bulk constructor from neighbour rows that are already ascending,
+        duplicate-free, symmetric, loop-free and range-checked (sample
+        builders, vertex merges); skips per-edge validation."""
         g = cls.__new__(cls)
-        g._set_edges(n, tuple(edges))
+        g._set_rows(n, rows)
         return g
 
-    def _set_edges(self, n: int, edges: tuple) -> None:
-        # `edges` is sorted, so each vertex's smaller neighbours arrive first
-        # and in order, then its larger ones: every list below is ascending.
+    def _set_rows(self, n: int, rows) -> None:
         self.n = n
-        self.edges = edges
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.sorted_adj = tuple(map(tuple, adj))
+        self.sorted_adj = tuple(map(tuple, rows))
+        # each edge once, from its smaller end, so ascending rows give sorted
+        # edges.  Collected in a list first (a tuple grown from an iterator
+        # is re-tracked by the garbage collector at every resize), and before
+        # the frozensets, which every young-generation pass would traverse.
+        edges = list(
+            chain.from_iterable(
+                zip(repeat(u), row[bisect_right(row, u) :])
+                for u, row in enumerate(self.sorted_adj)
+            )
+        )
+        self.edges = tuple(edges)
         self.adj = tuple(map(frozenset, self.sorted_adj))
         self._c4_partition = None  # closure.c4_partition's result, built on first use
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .closure import GraphHom
 from .errors import InputError
-from .graph import NO, UNKNOWN, YES, Graph, canon_edge, has_cycle_of_length
+from .graph import NO, UNKNOWN, YES, Graph, has_cycle_of_length
 from .rng import Stream, derive_seed
 from .traverse import simple_path_dfs
 
@@ -147,16 +148,24 @@ class FoldTrace:
 
 
 def _merge(g: Graph, keep: int, drop: int) -> Graph:
-    """Identify two non-adjacent vertices; labels above `drop` shift down."""
+    """Identify two non-adjacent vertices; labels above `drop` shift down.
+
+    The shift is monotone, so every row stays ascending except the merged
+    row (the union of both neighbourhoods) and the rows of drop's
+    neighbours, where keep takes drop's place; only those are re-sorted.
+    """
     assert keep != drop and not g.has_edge(keep, drop)
-
-    def relabel(v: int) -> int:
-        if v == drop:
-            v = keep
-        return v - 1 if v > drop else v
-
-    edges = {canon_edge(relabel(u), relabel(v)) for u, v in g.edges}
-    return Graph(g.n - 1, edges)
+    rows = []
+    for u, row in enumerate(g.sorted_adj):
+        if u == drop:
+            continue
+        if u == keep:
+            row = sorted(g.adj[keep] | g.adj[drop])
+        elif drop in g.adj[u]:
+            row = sorted(g.adj[u] - {drop} | {keep})
+        cut = bisect_right(row, drop)
+        rows.append([*row[:cut], *(v - 1 for v in row[cut:])])
+    return Graph.from_sorted_unique(g.n - 1, rows)
 
 
 def fold_search(

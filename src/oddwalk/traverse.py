@@ -12,6 +12,7 @@ function yields them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Callable, Hashable, Iterable, Optional
 
@@ -103,6 +104,14 @@ def simple_path_dfs(
     Every vertex entered, the start included, is one expansion; the search
     gives up once expansions exceed `budget`.
 
+    The last layer is counted, not walked.  Once the path holds `steps`
+    vertices, the vertices that could be entered last are the neighbours
+    of its end vertex that pass the filters; with `dist` that is those in
+    {end} and N(end), the vertices at distance at most 1.  The first of
+    them in sorted order that lies in N(end) is the hit.  The search
+    charges one expansion per candidate up to the hit, or all of them when
+    there is none, exactly as entering them one by one would.
+
     Returns (YES, path, expansions), (NO, None, expansions) after an
     exhaustive search, or (UNKNOWN, None, expansions) over budget.
     """
@@ -114,6 +123,37 @@ def simple_path_dfs(
     on_path = {start}
     if blocked is not None:
         on_path.add(blocked)
+    # vertices that may be entered last and close the path at `end`
+    closers = {w for w in adj[end] if w >= lowest} - on_path
+
+    def close(v: int):
+        """Charge the last layer once the path, ending at v, holds `steps`
+        vertices.  Returns the finished result, or None when no path closes."""
+        nonlocal expansions
+        hits = closers & adj[v]
+        hits.difference_update(path)
+        hit = min(hits) if hits else None
+        if dist is not None:
+            # the only candidate outside N(end) is `end` itself
+            early_end = (
+                end in adj[v] and end >= lowest and end not in on_path
+                and (hit is None or end < hit)
+            )
+            expansions += (hit is not None) + early_end
+        else:
+            row = nbrs[v]
+            top = len(row) if hit is None else bisect_right(row, hit)
+            window = row[bisect_left(row, lowest) : top]
+            expansions += len(window) - len(on_path.intersection(window))
+        if expansions > budget:  # stop where entering one by one would have
+            return UNKNOWN, None, math.floor(budget) + 1
+        if hit is not None:
+            return YES, path + [hit], expansions
+        return None
+
+    if steps == 1:
+        found = close(start)
+        return found if found else (NO, None, expansions)
     stack = [iter(nbrs[start])]
     while stack:
         remaining = steps - len(stack) + 1  # vertices left to add after this one
@@ -124,9 +164,10 @@ def simple_path_dfs(
             if expansions > budget:
                 return UNKNOWN, None, expansions
             path.append(w)
-            if remaining == 1:
-                if end in adj[w]:
-                    return YES, path, expansions
+            if remaining == 2:
+                found = close(w)
+                if found:
+                    return found
                 path.pop()
                 continue
             on_path.add(w)

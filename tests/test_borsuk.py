@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 
 import borsuk_reference as ref
-from graphs import complete, cycle, example7, fuzz_corpus, path, petersen, small_graphs
+from graphs import (
+    complete,
+    cycle,
+    example7,
+    fuzz_corpus,
+    path,
+    petersen,
+    random_graph,
+    small_graphs,
+)
 from oddwalk.borsuk import (
     ApproxGraph,
     SphereSample,
@@ -22,7 +31,7 @@ from oddwalk.borsuk import (
     tetrahedral_hom,
 )
 from oddwalk.errors import ConstructionError, InputError, SearchFailure
-from oddwalk.graph import INFINITE, odd_girth
+from oddwalk.graph import INFINITE, Graph, odd_girth
 from oddwalk.rng import Stream, derive_seed
 
 EPS5 = math.pi / 5
@@ -128,6 +137,15 @@ def test_matrix_check_agrees_with_exact_odd_girth():
             assert odd_girth_at_least(g, bound) == (girth == INFINITE or girth >= bound)
 
 
+@pytest.mark.parametrize("eps", [EPS5, math.pi / 3])
+@pytest.mark.parametrize("count", [1, 2, 50, 150])
+def test_row_built_sample_graph_matches_validated_build(count, eps):
+    g = sample_approximation(2, eps, count, 40 + count).graph
+    want = Graph(g.n, g.edges)  # the validating constructor
+    assert (g.n, g.edges, g.sorted_adj, g.adj) == (want.n, want.edges, want.sorted_adj, want.adj)
+    assert not any(g.has_edge(i, i ^ 1) for i in range(g.n))
+
+
 def test_adjacency_matrix_matches_edges():
     g = sample_approximation(2, EPS5, 150, 5)
     a = g.adjacency_matrix()
@@ -164,6 +182,14 @@ KERNEL_CORPUS = (
     + [dense(g) for g in (petersen(), example7(), complete(2), complete(5), path(0), path(6))]
     + [dense(g) for g in fuzz_corpus()]
     + [with_loop(path(3), 1), with_loop(cycle(6), 0)]  # odd girth 1
+    + [with_loop(Graph(3, [(0, 1)]), 2)]  # a loop on an otherwise isolated vertex
+    # rows of more than one 64-bit word, the short cycles on high ids
+    + [dense(cycle(k)) for k in (63, 64, 65, 129)]
+    + [dense(random_graph(140, 0.02, 11)), with_loop(path(70), 69)]
+    + [
+        dense(Graph(130, [(v, v + 1) for v in range(60, 68)] + [(60, 68)])),  # 9-cycle
+        dense(Graph(130, [(125, 126), (126, 127), (125, 127)])),
+    ]
 )
 
 

@@ -2,15 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from graphs import complete, cycle, path, petersen, random_graph
+from graphs import complete, cycle, fuzz_corpus, path, petersen, random_graph, small_graphs
 from oddwalk.closure import GraphHom
 from oddwalk.errors import InputError
-from oddwalk.graph import has_cycle_of_length
+from oddwalk.graph import Graph, canon_edge, has_cycle_of_length
 from oddwalk.homsearch import (
     FOUND,
     NONE,
     TIMEOUT,
+    _merge,
     fold_search,
     hom_exists,
 )
@@ -94,6 +96,43 @@ def test_verify_hom_revalidates():
 
 # ---------------------------------------------------------------------------
 # fold search
+
+
+def merge_by_relabelling(g, keep, drop):
+    """The merge as it was built before the row constructor: every edge
+    relabelled, re-canonicalised and validated by `Graph`."""
+
+    def relabel(v):
+        if v == drop:
+            v = keep
+        return v - 1 if v > drop else v
+
+    return Graph(g.n - 1, {canon_edge(relabel(u), relabel(v)) for u, v in g.edges})
+
+
+def check_merges(g):
+    for keep in range(g.n):
+        for drop in range(g.n):
+            if keep == drop or g.has_edge(keep, drop):
+                continue
+            got, want = _merge(g, keep, drop), merge_by_relabelling(g, keep, drop)
+            assert (got.n, got.edges, got.sorted_adj, got.adj) == (
+                want.n, want.edges, want.sorted_adj, want.adj
+            )
+
+
+MERGE_CORPUS = fuzz_corpus() + [path(5), Graph(6, [(0, 1), (3, 4)])]
+
+
+@pytest.mark.parametrize("index", range(len(MERGE_CORPUS)))
+def test_merge_matches_relabelled_rebuild_on_corpus(index):
+    check_merges(MERGE_CORPUS[index])
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_merge_matches_relabelled_rebuild_on_random_graphs(g):
+    check_merges(g)
 
 
 def test_fold_c5_reaches_k3():

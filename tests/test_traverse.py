@@ -6,14 +6,17 @@ reference returns: walks, witnesses, statuses, expansion and node counts,
 move logs and states_explored, also when a budget or cap runs out.
 """
 
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import traversal_reference as ref
 from graphs import complete, cycle, example7, fuzz_corpus, path, petersen, small_graphs
+from oddwalk import homsearch
 from oddwalk.borsuk import sample_approximation
 from oddwalk.coloring import _cycle_through_edge, c4_chain
 from oddwalk.graph import (
@@ -26,7 +29,7 @@ from oddwalk.graph import (
     shortest_odd_cycle,
 )
 from oddwalk.homotopy import Walk, are_homotopic
-from oddwalk.homsearch import hom_exists
+from oddwalk.homsearch import fold_search, hom_exists
 from oddwalk.ncomplex import build_ncomplex, equivalent_edge_paths, walk_to_edgepath
 from oddwalk.traverse import bfs, depths, odd_closed_walk_length, path_to_root, simple_path_dfs
 
@@ -131,6 +134,78 @@ def test_kernels_match_reference_on_300_vertex_sample():
     starts = [canon_edge(a, b) for a, b in zip(cycle_, cycle_[1:])]
     for goal in g.edges[::713]:
         assert c4_chain(g, starts, goal) == ref.c4_chain(g, starts, goal)
+
+
+def full_distances(g, end):
+    """Graph distances to `end`, infinite for every vertex it cannot reach."""
+    d = depths(bfs([end], g.sorted_neighbors))
+    return {v: d.get(v, math.inf) for v in range(g.n)}
+
+
+def check_path_dfs(g, rnd):
+    """`simple_path_dfs` against the walk-every-vertex reference: steps 1-6,
+    each of lowest, blocked and dist on or off, unlimited and random finite
+    budgets, and budgets at and one below the expansions it spends."""
+    if g.n == 0:
+        return
+    for steps in range(1, 7):
+        for use_lowest, use_blocked, use_dist in itertools.product((False, True), repeat=3):
+            start, end = rnd.randrange(g.n), rnd.randrange(g.n)
+            kwargs = {
+                "lowest": rnd.randrange(g.n) if use_lowest else 0,
+                "blocked": rnd.randrange(g.n) if use_blocked else None,
+                "dist": full_distances(g, end) if use_dist else None,
+            }
+            want = ref.simple_path_dfs(g, start, steps, end, **kwargs)
+            assert simple_path_dfs(g, start, steps, end, **kwargs) == want
+            spent = want[2]
+            for budget in {spent, spent - 1, rnd.randint(1, spent + 1), rnd.randint(1, 3)}:
+                got = simple_path_dfs(g, start, steps, end, budget=budget, **kwargs)
+                assert got == ref.simple_path_dfs(g, start, steps, end, budget=budget, **kwargs)
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_simple_path_dfs_matches_reference_on_corpus(index):
+    rnd = random.Random(index)
+    for _ in range(4):
+        check_path_dfs(CORPUS[index], rnd)
+
+
+@given(small_graphs(), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=150, deadline=None)
+def test_simple_path_dfs_matches_reference_on_random_graphs(g, seed):
+    check_path_dfs(g, random.Random(seed))
+
+
+def test_simple_path_dfs_charges_a_hit_at_its_rank():
+    # from 0 along 0-1, the last layer after 1 holds 2, 3 and 4; only 4 is
+    # adjacent to the end 5, so the hit costs three expansions
+    g = Graph(6, [(0, 1), (1, 2), (1, 3), (1, 4), (4, 5)])
+    assert simple_path_dfs(g, 0, 2, 5) == ("YES", [0, 1, 4], 5)
+    assert simple_path_dfs(g, 0, 2, 5, budget=5) == ("YES", [0, 1, 4], 5)
+    assert simple_path_dfs(g, 0, 2, 5, budget=4) == ("UNKNOWN", None, 5)
+    assert simple_path_dfs(g, 0, 2, 5, budget=2) == ("UNKNOWN", None, 3)
+    # with distances to the end only 4 (distance 1) is a candidate
+    assert simple_path_dfs(g, 0, 2, 5, dist=full_distances(g, 5)) == ("YES", [0, 1, 4], 3)
+
+
+def test_fold_search_matches_reference_path_dfs(monkeypatch):
+    # every expansion is spent from the fold's budget, so a miscount moves
+    # `spent` and with it each search's share and the merges that get tried;
+    # each search's (status, path, expansions) is compared as well
+    g = sample_approximation(2, EPS5, 50, 94).graph  # 100 vertices; two merges close a 5-cycle
+    runs = []
+    for dfs in (simple_path_dfs, ref.simple_path_dfs):
+        calls = []
+
+        def recorded(*args, dfs=dfs, calls=calls, **kwargs):
+            calls.append(dfs(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(homsearch, "simple_path_dfs", recorded)
+        runs.append((fold_search(g, {5}, beam=2, budget=2 * 10**5, seed=3).describe(), calls))
+    assert runs[0] == runs[1]
+    assert runs[0][0]["merges"]
 
 
 def test_shortest_odd_cycle_on_a_deep_cycle():

@@ -10,8 +10,11 @@ n-pass odd-girth search that the depth cut-off replaced, and
 `legal_moves` the list-building move generator that `are_homotopic` used
 before its search ran on vertex tuples.  `degeneracy_order` is the
 minimum scan over every remaining vertex that the bucket queue replaced.
+`simple_path_dfs` is the budgeted path search that entered every vertex
+of its last layer one by one, before that layer was counted in bulk.
 """
 
+import math
 from collections import deque
 from typing import Optional
 
@@ -453,3 +456,59 @@ def degeneracy_order(g):
             if w not in removed:
                 deg[w] -= 1
     return order, degeneracy
+
+
+def simple_path_dfs(
+    g,
+    start: int,
+    steps: int,
+    end: int,
+    budget: float = math.inf,
+    lowest: int = 0,
+    blocked: Optional[int] = None,
+    dist: Optional[dict] = None,
+) -> tuple[str, Optional[list[int]], int]:
+    """Depth-first search for a simple path start, v1, ..., v_steps
+    (steps >= 1) whose last vertex is adjacent to `end`.
+
+    Neighbours are tried in sorted order, so the first path found is the
+    lexicographically smallest.  Vertices below `lowest`, the `blocked`
+    vertex and vertices already on the path are never entered.  With
+    `dist` (graph distances to `end`), a vertex entered with r vertices
+    still to add is kept only when its distance to `end` is at most r + 1.
+    Every vertex entered, the start included, is one expansion; the search
+    gives up once expansions exceed `budget`.
+
+    Returns (YES, path, expansions), (NO, None, expansions) after an
+    exhaustive search, or (UNKNOWN, None, expansions) over budget.
+    """
+    adj, nbrs = g.adj, g.sorted_adj
+    expansions = 1
+    if expansions > budget:
+        return UNKNOWN, None, expansions
+    path = [start]
+    on_path = {start}
+    if blocked is not None:
+        on_path.add(blocked)
+    stack = [iter(nbrs[start])]
+    while stack:
+        remaining = steps - len(stack) + 1  # vertices left to add after this one
+        for w in stack[-1]:
+            if w < lowest or w in on_path or (dist is not None and dist[w] > remaining):
+                continue
+            expansions += 1
+            if expansions > budget:
+                return UNKNOWN, None, expansions
+            path.append(w)
+            if remaining == 1:
+                if end in adj[w]:
+                    return YES, path, expansions
+                path.pop()
+                continue
+            on_path.add(w)
+            stack.append(iter(nbrs[w]))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+    return NO, None, expansions
