@@ -23,7 +23,7 @@ import numpy as np
 
 from .closure import GraphHom
 from .errors import ConstructionError, InputError, SearchFailure
-from .graph import Graph
+from .graph import Graph, csr_rows, odd_walk_free
 from .homotopy import Walk
 from .rng import Stream, derive_seed
 
@@ -165,25 +165,28 @@ class ApproxGraph:
 
     @classmethod
     def from_sample(cls, sample: SphereSample, epsilon: float) -> "ApproxGraph":
+        """Threshold each Gram block and keep its nonzero entries as CSR
+        rows: `np.nonzero` lists them row by row in ascending columns."""
         if not (0.0 < epsilon < math.pi):
             raise InputError("threshold must lie in (0, pi)")
         threshold = -math.cos(epsilon)
-        # tuples, not lists: the garbage collector stops tracking a tuple of
-        # ints, while long lists are traversed at every collection of the
-        # generation they sit in
-        rows: list[tuple[int, ...]] = []
+        m = sample.size()
+        degrees, heads = [], []
         for start, gram in _gram_blocks(sample.points):
             near = gram < threshold
             local = np.arange(len(near))
             near[local, (local + start) ^ 1] = False  # the antipodal self-pairing
-            rows.extend(tuple(np.flatnonzero(row).tolist()) for row in near)
-        return cls(sample, epsilon, Graph.from_sorted_unique(sample.size(), rows))
+            rows, cols = np.nonzero(near)
+            degrees.append(np.bincount(rows, minlength=len(near)))
+            heads.append(cols)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(degrees), out=indptr[1:])
+        return cls(sample, epsilon, Graph.from_sorted_unique(m, indptr, np.concatenate(heads)))
 
     def adjacency_matrix(self) -> np.ndarray:
-        m = self.sample.size()
-        a = np.zeros((m, m), dtype=bool)
-        for u, neighbours in enumerate(self.graph.sorted_adj):
-            a[u, neighbours] = True
+        g = self.graph
+        a = np.zeros((g.n, g.n), dtype=bool)
+        a[csr_rows(g.indptr), g.indices] = True
         return a
 
     def dump(self) -> str:
@@ -256,7 +259,7 @@ def covering_radius_estimate(
 def min_degree_ratio(g: Graph) -> float:
     if g.n < 1:
         raise InputError("graph is empty")
-    return min(g.degree(v) for v in range(g.n)) / g.n
+    return int(np.diff(g.indptr).min()) / g.n
 
 
 # ---------------------------------------------------------------------------
@@ -340,50 +343,14 @@ def bracket_walk(g: ApproxGraph, ids: Sequence[int]) -> Walk:
     return Walk(g.graph, vertices)
 
 
-def _odd_walk_free(adjacency: np.ndarray, length: int) -> bool:
-    """True iff the symmetric 0/1 `adjacency` has no closed walk of odd
-    length at most `length`, which must be odd and positive.
-
-    A shorter closed odd walk pads to exactly `length` steps by going back
-    and forth along one of its edges, so only that length is checked.  Let
-    S_j[u] be the set of vertices that u reaches by a walk of exactly j
-    steps, k = (length - 1) // 2.  A closed walk of `length` steps exists
-    iff some edge (u, w) has S_k[u] and S_k[w] meeting.  Each S_j is a
-    matrix of bit rows packed into 64-bit words: S_1 is the adjacency
-    itself, and each of the k - 1 rounds ORs the rows of u's neighbours
-    into S_{j+1}[u].  The edge test ORs S_k over the neighbours w >= u and
-    ANDs it with S_k[u].  Diagonal entries count as edges (loops).  The
-    check is exact integer work with no bound on the vertex count.
-    """
-    if length == 1:
-        return not adjacency.diagonal().any()
-    n = len(adjacency)
-    neighbours = [np.flatnonzero(row) for row in adjacency]
-    words = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)  # whole 64-bit words
-    words[:, : -(-n // 8)] = np.packbits(adjacency, axis=1)
-    words = words.view(np.uint64)
-    for _ in range(length // 2 - 1):
-        words = _or_of_rows(words, neighbours)
-    above = [nbrs[np.searchsorted(nbrs, u) :] for u, nbrs in enumerate(neighbours)]
-    return not np.bitwise_and(words, _or_of_rows(words, above)).any()
-
-
-def _or_of_rows(words: np.ndarray, index_rows: list) -> np.ndarray:
-    """Row u of the result is the OR of the rows of `words` listed in
-    index_rows[u] (all zero for an empty list)."""
-    out = np.empty_like(words)
-    for u, idx in enumerate(index_rows):
-        np.bitwise_or.reduce(words[idx], axis=0, out=out[u])
-    return out
-
-
 def odd_girth_at_least(g: ApproxGraph, bound: int) -> bool:
     """Exact check that no odd cycle shorter than `bound` exists; holds
-    for every bound, odd or even."""
+    for every bound, odd or even.  Runs `odd_walk_free` on the graph's CSR
+    arrays, so no view of the graph is built."""
     if bound < 3:
         return True
     longest = bound - 2 if bound % 2 else bound - 1
-    return _odd_walk_free(g.adjacency_matrix(), longest)
+    return odd_walk_free(g.graph.indptr, g.graph.indices, longest)
 
 
 def find_noninjective_c2r3(

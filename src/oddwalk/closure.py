@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import HypothesisError, InputError, ParseError, ViolationError
-from .graph import Graph, canon_edge, is_bipartite
+from .graph import Graph, canon_edge, csr_rows, is_bipartite
 
 
 @dataclass(frozen=True)
@@ -200,10 +200,7 @@ def _c4_pairs(h: Graph) -> np.ndarray:
     common neighbors, from the codegree matrix A.A.  The float32 product
     is exact: codegrees stay far below 2**24."""
     a = np.zeros((h.n, h.n), dtype=np.float32)
-    if h.edges:
-        ends = np.array(h.edges)
-        a[ends[:, 0], ends[:, 1]] = 1.0
-        a[ends[:, 1], ends[:, 0]] = 1.0
+    a[csr_rows(h.indptr), h.indices] = 1.0
     pairs = (a @ a) >= 2
     np.fill_diagonal(pairs, False)
     return pairs
@@ -230,12 +227,12 @@ def _c4_labels(h: Graph) -> np.ndarray:
     codegree >= 2 graph on N(x).  That is at most deg(x) - 1 pairs per
     vertex, O(m) in all.
     """
-    m = len(h.edges)
+    m = h.num_edges()
     pairs = _c4_pairs(h)
-    ends = np.array(h.edges, dtype=np.int64).reshape(-1, 2)
+    us, ws = h.edge_ends()
     # darts sorted by tail, then head: each vertex's sorted neighbors and edge ids
-    tail = np.concatenate([ends[:, 0], ends[:, 1]])
-    head = np.concatenate([ends[:, 1], ends[:, 0]])
+    tail = np.concatenate([us, ws])
+    head = np.concatenate([ws, us])
     order = np.lexsort((head, tail))
     head, eid = head[order], np.tile(np.arange(m), 2)[order]
     bounds = np.searchsorted(tail[order], np.arange(h.n + 1))
@@ -292,12 +289,12 @@ def _pullback(phi: GraphHom) -> ClosurePartition:
     if g == phi.target and phi.mapping == tuple(range(g.n)):
         return c4_partition(g)
     target = c4_partition(phi.target)
-    m = len(g.edges)
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    m = g.num_edges()
+    us, ws = g.edge_ends()
     cls = np.array([target.class_of[phi.edge_image(e)] for e in g.edges], dtype=np.int64)
     # source edges of one target class meeting at a vertex are joined: key
     # each edge end by (class, vertex) and tie it to the first edge of its key
-    keys = np.concatenate([cls * g.n + ends[:, 0], cls * g.n + ends[:, 1]])
+    keys = np.concatenate([cls * g.n + us, cls * g.n + ws])
     ids = np.tile(np.arange(m), 2)
     distinct, group = np.unique(keys, return_inverse=True)
     first = np.full(len(distinct), m)

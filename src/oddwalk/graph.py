@@ -2,19 +2,24 @@
 girth, degeneracy and small-scale chromatic utilities the rest of the
 library is built on.
 
-Vertices are 0..n-1.  Edges are always handled in canonical form
-(min, max); `canon_edge` is the single place that normalization happens.
-All graphs are immutable after construction and safe to share.
+Vertices are 0..n-1.  A graph is stored once, as compressed sparse rows:
+two int64 arrays, `indptr` and `indices`, list every vertex's neighbours in
+ascending order.  The Python views that the traversals walk (`adj`,
+`sorted_adj`, `edges`) are built from those arrays on first use, so array
+kernels such as `odd_walk_free` never pay for them.  Edges are always
+handled in canonical form (min, max); `canon_edge` is the single place that
+normalization happens.  All graphs are immutable after construction and
+safe to share.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import InputError, ParseError, RefusalError
 from .traverse import (
@@ -31,60 +36,102 @@ from .traverse import (
 INFINITE = math.inf
 # largest vertex count parse_graph accepts, checked before anything is allocated
 MAX_VERTICES = 10**6
+# largest vertex count for which has_cycle_of_length runs the exact odd-walk
+# check first; its bit rows take n * n / 8 bytes per copy
+ODD_WALK_CHECK_MAX_VERTICES = 2**14
 
 
 def canon_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-class Graph:
-    """Immutable undirected simple graph.
+def csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every entry of a CSR `indices` array."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
-    `adj` is a tuple of frozensets and `sorted_adj` the same neighbourhoods
-    as ascending tuples; `edges` is the sorted tuple of canonical edges.  No
-    self-loops, no parallel edges, adjacency is symmetric.
+
+def csr_from_darts(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices) of the directed pairs (tails[i],
+    heads[i]) on n vertices: repeated pairs are dropped and every row is
+    ascending."""
+    keys = np.sort(tails * n + heads)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    rows, indices = np.divmod(keys[first], max(n, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, indices
+
+
+class Graph:
+    """Immutable undirected simple graph, stored as compressed sparse rows.
+
+    Row v, `indices[indptr[v]:indptr[v + 1]]`, holds v's neighbours in
+    ascending order.  No self-loops, no parallel edges, adjacency is
+    symmetric, so the arrays are canonical: two graphs are equal exactly
+    when their vertex counts and arrays are.
+
+    Three views are built from the arrays on first use and kept: `sorted_adj`
+    (ascending tuples), `adj` (frozensets of the same rows) and `edges` (the
+    sorted tuple of canonical edges).  Until then their slots are unset, and
+    reading one falls through to `__getattr__`, which fills it; after that a
+    read is a plain slot access.
     """
 
-    __slots__ = ("n", "adj", "sorted_adj", "edges", "_c4_partition")
+    __slots__ = (
+        "n", "indptr", "indices", "sorted_adj", "adj", "edges", "_hash", "_c4_partition"
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
-        rows: list[list[int]] = [[] for _ in range(n)]
+        ends: list[int] = []
         for u, v in edges:
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            rows[u].append(v)
-            rows[v].append(u)
-        self._set_rows(n, [sorted(set(row)) for row in rows])
+            ends += (u, v)
+        us, vs = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+        self._set_arrays(n, *csr_from_darts(n, np.concatenate([us, vs]), np.concatenate([vs, us])))
 
     @classmethod
-    def from_sorted_unique(cls, n: int, rows) -> "Graph":
-        """Bulk constructor from neighbour rows that are already ascending,
+    def from_sorted_unique(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
+        """Bulk constructor from CSR arrays whose rows are already ascending,
         duplicate-free, symmetric, loop-free and range-checked (sample
-        builders, vertex merges); skips per-edge validation."""
+        builders, vertex merges); skips all validation."""
         g = cls.__new__(cls)
-        g._set_rows(n, rows)
+        g._set_arrays(n, np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64))
         return g
 
-    def _set_rows(self, n: int, rows) -> None:
+    def _set_arrays(self, n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.n = n
-        self.sorted_adj = tuple(map(tuple, rows))
-        # each edge once, from its smaller end, so ascending rows give sorted
-        # edges.  Collected in a list first (a tuple grown from an iterator
-        # is re-tracked by the garbage collector at every resize), and before
-        # the frozensets, which every young-generation pass would traverse.
-        edges = list(
-            chain.from_iterable(
-                zip(repeat(u), row[bisect_right(row, u) :])
-                for u, row in enumerate(self.sorted_adj)
-            )
-        )
-        self.edges = tuple(edges)
-        self.adj = tuple(map(frozenset, self.sorted_adj))
+        self.indptr, self.indices = indptr, indices
+        indptr.flags.writeable = indices.flags.writeable = False
+        self._hash = None
         self._c4_partition = None  # closure.c4_partition's result, built on first use
+
+    def __getattr__(self, name: str):
+        # reached only for a slot that is still unset: build the view once
+        if name == "sorted_adj":
+            flat, bounds = self.indices.tolist(), self.indptr.tolist()
+            view = tuple([tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])])
+        elif name == "adj":
+            view = tuple(map(frozenset, self.sorted_adj))
+        elif name == "edges":
+            us, ws = self.edge_ends()
+            view = tuple(zip(us.tolist(), ws.tolist()))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, view)
+        return view
+
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical edges as two arrays (smaller ends, larger ends), in
+        the order of `edges`."""
+        tails = csr_rows(self.indptr)
+        upper = self.indices > tails
+        return tails[upper], self.indices[upper]
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adj[v]
@@ -93,28 +140,35 @@ class Graph:
         return self.sorted_adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and v in self.adj[u]
 
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.indices) // 2
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return (
+            isinstance(other, Graph)
+            and self.n == other.n
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        if self._hash is None:
+            self._hash = hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
+        return self._hash
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.num_edges()})"
 
     def subgraph_on_edges(self, edge_set: Iterable[tuple[int, int]]) -> "Graph":
         """Spanning subgraph keeping only the given edges (same vertex ids)."""
-        return Graph(self.n, [canon_edge(*e) for e in edge_set])
+        return Graph(self.n, edge_set)
 
 
 def parse_graph(text: str) -> Graph:
@@ -311,12 +365,21 @@ class CycleSearch:
 def has_cycle_of_length(g: Graph, k: int, budget: int = 10**7) -> CycleSearch:
     """Search for a simple cycle with exactly k vertices.
 
-    Exhaustive DFS anchored at the smallest cycle vertex, pruned by BFS
-    distance back to the anchor.  `budget` caps node expansions; exceeding
-    it yields UNKNOWN rather than a wrong NO.
+    For odd k, `odd_walk_free` first decides exactly whether any closed odd
+    walk of length at most k exists.  A k-cycle is such a walk, so when
+    there is none the answer is NO after 0 expansions.  When there is one,
+    it proves nothing (a graph with a triangle can still have no 5-cycle),
+    and the search below runs.  The exact check is skipped above
+    ODD_WALK_CHECK_MAX_VERTICES vertices, where its bit rows get large.
+
+    The search is an exhaustive DFS anchored at the smallest cycle vertex,
+    pruned by BFS distance back to the anchor.  `budget` caps node
+    expansions; exceeding it yields UNKNOWN rather than a wrong NO.
     """
     if k < 3:
         raise InputError("cycle length must be at least 3")
+    if k % 2 and g.n <= ODD_WALK_CHECK_MAX_VERTICES and odd_walk_free(g.indptr, g.indices, k):
+        return CycleSearch(NO, None, 0)
     expansions = 0
     for s in range(g.n):
         dist = depths(bfs([s], g.sorted_neighbors))
@@ -329,6 +392,48 @@ def has_cycle_of_length(g: Graph, k: int, budget: int = 10**7) -> CycleSearch:
         if status == UNKNOWN:
             return CycleSearch(UNKNOWN, None, expansions)
     return CycleSearch(NO, None, expansions)
+
+
+def odd_walk_free(indptr: np.ndarray, indices: np.ndarray, length: int) -> bool:
+    """True iff the graph with CSR rows (indptr, indices) has no closed walk
+    of odd length at most `length`, which must be odd and positive.  A
+    vertex listed in its own row is a loop, a closed walk of length 1.
+
+    A shorter closed odd walk pads to exactly `length` steps by going back
+    and forth along one of its edges, so only that length is checked.  Let
+    S_j[u] be the set of vertices that u reaches by a walk of exactly j
+    steps, k = (length - 1) // 2.  A closed walk of `length` steps exists
+    iff some edge (u, w) has S_k[u] and S_k[w] meeting.  Each S_j is a
+    matrix of bit rows packed into 64-bit words: S_1 is set straight from
+    the CSR rows, and each of the k - 1 rounds ORs the rows of u's
+    neighbours into S_{j+1}[u].  The edge test ORs S_k over the neighbours
+    w >= u and ANDs it with S_k[u].  The check is exact integer work with
+    no bound on the vertex count; it takes n * n / 8 bytes per bit matrix
+    (Itai & Rodeh, SIAM J. Comput. 1978, for odd girth by reachability).
+    """
+    n = len(indptr) - 1
+    tails = csr_rows(indptr)
+    if length == 1:
+        return not np.any(indices == tails)
+    width = -(-n // 64)  # 64-bit words per row
+    words = np.zeros(n * width, dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (indices & 63).astype(np.uint64))
+    np.bitwise_or.at(words, tails * width + (indices >> 6), bits)
+    words = words.reshape(n, width)
+    ends = indptr[1:]
+    for _ in range(length // 2 - 1):
+        words = _or_of_rows(words, indptr[:-1], ends, indices)
+    above = indptr[:-1] + np.bincount(tails[indices < tails], minlength=n)
+    return not np.bitwise_and(words, _or_of_rows(words, above, ends, indices)).any()
+
+
+def _or_of_rows(words: np.ndarray, starts, ends, indices: np.ndarray) -> np.ndarray:
+    """Row u of the result is the OR of the rows of `words` listed in
+    indices[starts[u]:ends[u]] (all zero for an empty slice)."""
+    out = np.empty_like(words)
+    for u, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        np.bitwise_or.reduce(words[indices[a:b]], axis=0, out=out[u])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +460,7 @@ def degeneracy_order(g: Graph) -> tuple[list[int], int]:
     degree, each bucket a heap of ids, finds the next vertex; entries left
     behind in a higher bucket by a degree drop are skipped when popped.
     """
-    deg = [len(a) for a in g.adj]
+    deg = np.diff(g.indptr).tolist()
     buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     for v in range(g.n):
         buckets[deg[v]].append(v)  # ascending ids, so each bucket is a heap
@@ -465,7 +570,7 @@ def exact_chromatic(g: Graph, vertex_cap: int = 30) -> int:
         )
     if g.n == 0:
         return 0
-    if not g.edges:
+    if not g.num_edges():
         return 1
     order, degen = degeneracy_order(g)
     upper = greedy_coloring(g, order[::-1]).colors_used()

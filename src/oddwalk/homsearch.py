@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import heapq
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .closure import GraphHom
 from .errors import InputError
-from .graph import NO, UNKNOWN, YES, Graph, has_cycle_of_length
+from .graph import NO, UNKNOWN, YES, Graph, csr_from_darts, csr_rows, has_cycle_of_length
 from .rng import Stream, derive_seed
 from .traverse import simple_path_dfs
 
@@ -150,22 +151,15 @@ class FoldTrace:
 def _merge(g: Graph, keep: int, drop: int) -> Graph:
     """Identify two non-adjacent vertices; labels above `drop` shift down.
 
-    The shift is monotone, so every row stays ascending except the merged
-    row (the union of both neighbourhoods) and the rows of drop's
-    neighbours, where keep takes drop's place; only those are re-sorted.
+    Both ends of every edge are relabelled, and the CSR build drops the
+    duplicates that the common neighbours of keep and drop leave.
     """
     assert keep != drop and not g.has_edge(keep, drop)
-    rows = []
-    for u, row in enumerate(g.sorted_adj):
-        if u == drop:
-            continue
-        if u == keep:
-            row = sorted(g.adj[keep] | g.adj[drop])
-        elif drop in g.adj[u]:
-            row = sorted(g.adj[u] - {drop} | {keep})
-        cut = bisect_right(row, drop)
-        rows.append([*row[:cut], *(v - 1 for v in row[cut:])])
-    return Graph.from_sorted_unique(g.n - 1, rows)
+    label = np.arange(g.n)
+    label[drop] = keep
+    label -= label > drop
+    tails = label[csr_rows(g.indptr)]
+    return Graph.from_sorted_unique(g.n - 1, *csr_from_darts(g.n - 1, tails, label[g.indices]))
 
 
 def fold_search(

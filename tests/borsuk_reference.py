@@ -1,13 +1,23 @@
-"""Reference version of the dense odd-girth kernel in `oddwalk.borsuk`.
+"""Reference versions of the odd-girth kernel and the sample-graph build
+that `oddwalk` replaced.
 
 `_odd_walk_free` checks the trace of every odd power A, A^3, A^5, ... up
 to `max_odd`, one general matrix product per step: the version the
 library used before it checked the single longest odd length through one
-symmetric even power.  test_borsuk.py requires the library to give the
-same verdict.
+symmetric even power.  `dense_odd_walk_free` is that single-length check
+on bit rows packed from a dense 0/1 matrix, before the kernel read the
+graph's compressed sparse rows.  `row_built_sample_graph` is the sample
+graph as it was built before the Gram blocks went straight to CSR arrays:
+one Python tuple of neighbours per vertex.  test_borsuk.py requires the
+library to give the same verdicts and equal graphs.
 """
 
+import math
+
 import numpy as np
+
+from oddwalk.borsuk import _gram_blocks
+from oddwalk.graph import Graph
 
 
 def _odd_walk_free(adjacency: np.ndarray, max_odd: int) -> bool:
@@ -30,3 +40,43 @@ def _odd_walk_free(adjacency: np.ndarray, max_odd: int) -> bool:
         current = nxt
         k += 2
     return True
+
+
+def dense_odd_walk_free(adjacency: np.ndarray, length: int) -> bool:
+    """True iff the symmetric 0/1 `adjacency` has no closed walk of odd
+    length at most `length` (odd, positive); diagonal entries are loops.
+    Only `length` itself is checked, on bit rows packed with np.packbits:
+    S_1 is the adjacency, each of the k - 1 rounds ORs the rows of u's
+    neighbours, and the edge test ANDs S_k[u] with S_k over the neighbours
+    w >= u, for k = (length - 1) // 2."""
+    if length == 1:
+        return not adjacency.diagonal().any()
+    n = len(adjacency)
+    neighbours = [np.flatnonzero(row) for row in adjacency]
+    words = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)  # whole 64-bit words
+    words[:, : -(-n // 8)] = np.packbits(adjacency, axis=1)
+    words = words.view(np.uint64)
+    for _ in range(length // 2 - 1):
+        words = _or_of_rows(words, neighbours)
+    above = [nbrs[np.searchsorted(nbrs, u) :] for u, nbrs in enumerate(neighbours)]
+    return not np.bitwise_and(words, _or_of_rows(words, above)).any()
+
+
+def _or_of_rows(words: np.ndarray, index_rows: list) -> np.ndarray:
+    out = np.empty_like(words)
+    for u, idx in enumerate(index_rows):
+        np.bitwise_or.reduce(words[idx], axis=0, out=out[u])
+    return out
+
+
+def row_built_sample_graph(sample, epsilon: float) -> Graph:
+    """The graph of `ApproxGraph.from_sample`, from one tuple of neighbours
+    per vertex, through the validating constructor."""
+    threshold = -math.cos(epsilon)
+    rows = []
+    for start, gram in _gram_blocks(sample.points):
+        near = gram < threshold
+        local = np.arange(len(near))
+        near[local, (local + start) ^ 1] = False
+        rows.extend(tuple(np.flatnonzero(row).tolist()) for row in near)
+    return Graph(sample.size(), [(u, v) for u, row in enumerate(rows) for v in row if u < v])

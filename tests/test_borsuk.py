@@ -19,7 +19,6 @@ from graphs import (
 from oddwalk.borsuk import (
     ApproxGraph,
     SphereSample,
-    _odd_walk_free,
     bracket_walk,
     cap_measure,
     covering_radius_estimate,
@@ -31,7 +30,7 @@ from oddwalk.borsuk import (
     tetrahedral_hom,
 )
 from oddwalk.errors import ConstructionError, InputError, SearchFailure
-from oddwalk.graph import INFINITE, Graph, odd_girth
+from oddwalk.graph import INFINITE, Graph, odd_girth, odd_walk_free
 from oddwalk.rng import Stream, derive_seed
 
 EPS5 = math.pi / 5
@@ -158,8 +157,37 @@ def test_adjacency_matrix_matches_edges():
     assert all(a[u, v] for u, v in g.graph.edges)
 
 
+def unbuilt_views(g):
+    """The lazy views of g that are still unset slots; reading a slot
+    through object.__getattribute__ does not build it."""
+    unbuilt = []
+    for name in ("adj", "sorted_adj", "edges"):
+        try:
+            object.__getattribute__(g, name)
+        except AttributeError:
+            unbuilt.append(name)
+    return unbuilt
+
+
+def test_sample_graph_matches_row_built_reference_at_4000_vertices():
+    g = sample_approximation(2, EPS5, 2000, 1)
+    want = ref.row_built_sample_graph(g.sample, EPS5)
+    assert g.graph == want and hash(g.graph) == hash(want)
+    assert g.graph.num_edges() == want.num_edges() == 763_252
+
+
+def test_sample_girth_path_builds_no_views():
+    g = sample_approximation(2, EPS5, 400, 3)
+    assert min_degree_ratio(g.graph) == min(g.graph.degree(v) for v in range(g.graph.n)) / g.graph.n
+    assert odd_girth_at_least(g, 7)
+    assert g.graph.num_edges() > 0
+    assert unbuilt_views(g.graph) == ["adj", "sorted_adj", "edges"]
+    g.graph.has_edge(0, 1)  # the frozensets and the tuples under them
+    assert unbuilt_views(g.graph) == ["edges"]
+
+
 # ---------------------------------------------------------------------------
-# dense odd-girth kernel against the reference in borsuk_reference.py
+# odd-girth kernel on CSR rows against the dense references in borsuk_reference.py
 
 ODD_LENGTHS = (1, 3, 5, 7, 9, 11)
 
@@ -177,6 +205,13 @@ def with_loop(g, v):
     return a
 
 
+def csr(a):
+    """CSR rows of a dense 0/1 matrix, a loop included in its own row."""
+    rows, cols = np.nonzero(a)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(a)))])
+    return indptr, cols
+
+
 KERNEL_CORPUS = (
     [dense(cycle(k)) for k in range(3, 14)]
     + [dense(g) for g in (petersen(), example7(), complete(2), complete(5), path(0), path(6))]
@@ -190,12 +225,14 @@ KERNEL_CORPUS = (
         dense(Graph(130, [(v, v + 1) for v in range(60, 68)] + [(60, 68)])),  # 9-cycle
         dense(Graph(130, [(125, 126), (126, 127), (125, 127)])),
     ]
+    + [dense(Graph(0, [])), dense(Graph(5, []))]
 )
 
 
 def check_kernel(a):
     for length in ODD_LENGTHS:
-        assert _odd_walk_free(a, length) == ref._odd_walk_free(a, length), length
+        got = odd_walk_free(*csr(a), length)
+        assert got == ref.dense_odd_walk_free(a, length) == ref._odd_walk_free(a, length), length
 
 
 @pytest.mark.parametrize("index", range(len(KERNEL_CORPUS)))
@@ -206,8 +243,8 @@ def test_odd_walk_kernel_matches_reference_on_corpus(index):
 def test_odd_walk_kernel_at_odd_girth_boundary():
     for length in ODD_LENGTHS:
         below = with_loop(path(2), 0) if length == 1 else dense(cycle(length))
-        assert not _odd_walk_free(below, length)  # odd girth exactly `length`
-        assert _odd_walk_free(dense(cycle(length + 2)), length)
+        assert not odd_walk_free(*csr(below), length)  # odd girth exactly `length`
+        assert odd_walk_free(*csr(dense(cycle(length + 2))), length)
 
 
 @given(small_graphs())
@@ -217,7 +254,7 @@ def test_odd_walk_kernel_matches_reference_on_random_graphs(g):
     check_kernel(a)
     girth = odd_girth(g)
     for length in ODD_LENGTHS:
-        assert _odd_walk_free(a, length) == (girth == INFINITE or girth > length)
+        assert odd_walk_free(g.indptr, g.indices, length) == (girth == INFINITE or girth > length)
 
 
 def test_sample_dump_round_trip():

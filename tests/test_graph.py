@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphs import complete, cycle, example7, fuzz_corpus, petersen, random_graph
+from graphs import complete, cycle, example7, fuzz_corpus, petersen, random_graph, small_graphs
 from oddwalk import graph as graph_module
 from oddwalk.errors import InputError, ParseError, RefusalError
 from oddwalk.graph import (
@@ -299,3 +300,62 @@ def test_graph_invariants():
     for u in range(g.n):
         for v in g.adj[u]:
             assert u in g.adj[v]
+
+
+# ---------------------------------------------------------------------------
+# the two constructors of the CSR core
+
+
+def from_python_rows(n, edges):
+    """`from_sorted_unique` fed CSR arrays built in plain Python from the
+    edge list: one sorted, duplicate-free neighbour list per vertex."""
+    rows = [set() for _ in range(n)]
+    for u, v in edges:
+        rows[u].add(v)
+        rows[v].add(u)
+    rows = [sorted(r) for r in rows]
+    indptr = list(itertools.accumulate(map(len, rows), initial=0))
+    indices = np.array([w for r in rows for w in r], dtype=np.int64)
+    return Graph.from_sorted_unique(n, np.array(indptr), indices)
+
+
+def check_constructors_agree(g):
+    # the edges again, shuffled, reversed and repeated, through the validating constructor
+    listed = list(g.edges)
+    random.Random(g.n).shuffle(listed)
+    again = Graph(g.n, [(v, u) for u, v in listed] + listed[: len(listed) // 2])
+    rows = from_python_rows(g.n, listed)
+    for h in (again, rows):
+        assert h == g and hash(h) == hash(g)
+        assert (h.sorted_adj, h.adj, h.edges) == (g.sorted_adj, g.adj, g.edges)
+        assert [h.degree(v) for v in range(h.n)] == [len(r) for r in g.sorted_adj]
+        assert h.num_edges() == len(g.edges)
+    assert g.edges == tuple(sorted({(min(e), max(e)) for e in listed}))
+    assert all(list(r) == sorted(r) for r in g.sorted_adj)
+    # one edge more or less is a different graph
+    if g.n >= 2:
+        extra = Graph(g.n, listed + [(0, 1)]) if not g.has_edge(0, 1) else Graph(g.n, listed[1:])
+        assert extra != g
+    assert Graph(g.n + 1, listed) != g
+
+
+@pytest.mark.parametrize("index", range(len(fuzz_corpus()) + 3))
+def test_validating_and_csr_constructors_agree_on_corpus(index):
+    graphs = fuzz_corpus() + [Graph(0, []), Graph(5, []), cycle(130)]
+    check_constructors_agree(graphs[index])
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_validating_and_csr_constructors_agree_on_random_graphs(g):
+    check_constructors_agree(g)
+
+
+def test_graph_views_are_built_on_first_use():
+    g = Graph(4, [(2, 3), (0, 1), (1, 2)])
+    assert g.indptr.tolist() == [0, 1, 3, 5, 6] and g.indices.tolist() == [1, 0, 2, 1, 3, 2]
+    with pytest.raises(ValueError):
+        g.indices[0] = 3  # the arrays are read-only
+    assert g.sorted_adj is g.sorted_adj and g.edges == ((0, 1), (1, 2), (2, 3))
+    with pytest.raises(AttributeError):
+        g.no_such_view

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 
 from graphs import complete, cycle, fuzz_corpus, path, petersen, random_graph, small_graphs
+from oddwalk.borsuk import sample_approximation
 from oddwalk.closure import GraphHom
 from oddwalk.errors import InputError
 from oddwalk.graph import Graph, canon_edge, has_cycle_of_length
@@ -182,3 +184,13 @@ def test_fold_quotients_are_homomorphic_images():
         GraphHom(g, trace.final_graph, trace.mapping)
         assert trace.final_graph.n <= g.n
         done += 1
+
+
+def test_fold_accepts_a_1000_vertex_sample_with_a_small_budget():
+    # the exact odd-walk check certifies the input 5-cycle-free; the DFS
+    # alone ran out of its 10**7 expansions here
+    g = sample_approximation(2, math.pi / 5, 500, 1).graph
+    assert (g.n, g.num_edges()) == (1000, 47_698)
+    trace = fold_search(g, {5}, beam=1, budget=1000, seed=1, candidate_cap=4)
+    GraphHom(g, trace.final_graph, trace.mapping)
+    assert trace.final_graph.n == g.n - len(trace.steps)

@@ -3,7 +3,10 @@
 `traversal_reference` keeps the hand-rolled searches the kernels replaced;
 every routine that now goes through a kernel must return exactly what its
 reference returns: walks, witnesses, statuses, expansion and node counts,
-move logs and states_explored, also when a budget or cap runs out.
+move logs and states_explored, also when a budget or cap runs out.  The
+one planned difference: `has_cycle_of_length` with an odd length answers
+NO after 0 expansions when the graph has no closed odd walk that short
+(`expected_cycle_search`), and otherwise returns the reference DFS's result.
 """
 
 import itertools
@@ -16,10 +19,12 @@ from hypothesis import strategies as st
 
 import traversal_reference as ref
 from graphs import complete, cycle, example7, fuzz_corpus, path, petersen, small_graphs
+from oddwalk import graph as graph_module
 from oddwalk import homsearch
 from oddwalk.borsuk import sample_approximation
 from oddwalk.coloring import _cycle_through_edge, c4_chain
 from oddwalk.graph import (
+    NO,
     Graph,
     canon_edge,
     degeneracy_order,
@@ -70,14 +75,25 @@ def check_bipartite_and_walks(g):
     assert shortest_odd_cycle(g) == ref.shortest_odd_cycle(g)
 
 
+def expected_cycle_search(g, k, budget):
+    """The reference DFS's (status, witness, expansions), after the exact
+    check that has_cycle_of_length runs first: for odd k, a graph with no
+    closed odd walk of length at most k (odd girth above k, found by the
+    reference's full double-cover search) has no k-cycle, and the answer is
+    NO after 0 expansions."""
+    if k % 2:
+        shortest = ref.shortest_odd_cycle(g)
+        if shortest is None or len(shortest) - 1 > k:
+            return (NO, None, 0)
+    want = ref.has_cycle_of_length(g, k, budget=budget)
+    return (want.status, want.witness, want.expansions)
+
+
 def check_cycle_searches(g, lengths, budgets=BUDGETS):
     for k in lengths:
         for budget in budgets:
             got = has_cycle_of_length(g, k, budget=budget)
-            want = ref.has_cycle_of_length(g, k, budget=budget)
-            assert (got.status, got.witness, got.expansions) == (
-                want.status, want.witness, want.expansions
-            )
+            assert (got.status, got.witness, got.expansions) == expected_cycle_search(g, k, budget)
             # the fold search's cycle check through one vertex
             for w in range(g.n):
                 status, _, used = simple_path_dfs(g, w, k - 1, w, budget=budget)
@@ -120,10 +136,7 @@ def test_kernels_match_reference_on_300_vertex_sample():
     for k in (3, 5, 7):
         for budget in (50, 10**4):
             got = has_cycle_of_length(g, k, budget=budget)
-            want = ref.has_cycle_of_length(g, k, budget=budget)
-            assert (got.status, got.witness, got.expansions) == (
-                want.status, want.witness, want.expansions
-            )
+            assert (got.status, got.witness, got.expansions) == expected_cycle_search(g, k, budget)
         for w in range(0, g.n, 37):
             status, _, used = simple_path_dfs(g, w, k - 1, w, budget=2000)
             assert (status, used) == ref.cycle_through_vertex_status(g, w, k, 2000)
@@ -134,6 +147,58 @@ def test_kernels_match_reference_on_300_vertex_sample():
     starts = [canon_edge(a, b) for a, b in zip(cycle_, cycle_[1:])]
     for goal in g.edges[::713]:
         assert c4_chain(g, starts, goal) == ref.c4_chain(g, starts, goal)
+
+
+def friendship(k):
+    """k triangles sharing vertex 0: odd girth 3, no cycle longer than 3."""
+    triangles = [(0, 2 * i + 1, 2 * i + 2) for i in range(k)]
+    return Graph(2 * k + 1, [e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))])
+
+
+@pytest.mark.parametrize("g", [complete(4), friendship(3), friendship(5)], ids=repr)
+def test_cycle_check_runs_the_dfs_when_a_short_odd_walk_exists(g):
+    # triangles, so a closed odd walk of every odd length; no 5-cycle
+    got = has_cycle_of_length(g, 5)
+    want = ref.has_cycle_of_length(g, 5)
+    assert (got.status, got.expansions) == (NO, want.expansions) and got.expansions > 0
+    assert has_cycle_of_length(g, 3).status == "YES"
+
+
+def check_verdicts(g, lengths):
+    """With budget to spare, every verdict is the reference DFS's, witness
+    included; with budget 3 the exact check turns UNKNOWN into NO only
+    where the odd girth exceeds k."""
+    for k in lengths:
+        got, want = has_cycle_of_length(g, k), ref.has_cycle_of_length(g, k)
+        assert (got.status, got.witness) == (want.status, want.witness)
+        short = has_cycle_of_length(g, k, budget=3)
+        assert short.status in (want.status, "UNKNOWN")
+        assert short.status == expected_cycle_search(g, k, 3)[0]
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_cycle_check_keeps_every_dfs_verdict_on_corpus(index):
+    check_verdicts(CORPUS[index], range(3, min(CORPUS[index].n, 9) + 1))
+
+
+@given(small_graphs())
+@settings(max_examples=120, deadline=None)
+def test_cycle_check_keeps_every_dfs_verdict_on_random_graphs(g):
+    check_verdicts(g, range(3, min(g.n, 9) + 1))
+
+
+def test_cycle_check_above_the_vertex_cap_is_the_dfs(monkeypatch):
+    monkeypatch.setattr(graph_module, "ODD_WALK_CHECK_MAX_VERTICES", 4)
+    for g in CORPUS:
+        for k in range(3, min(g.n, 7) + 1):
+            for budget in BUDGETS:
+                got = has_cycle_of_length(g, k, budget=budget)
+                want = ref.has_cycle_of_length(g, k, budget=budget)
+                if g.n > 4:
+                    want = (want.status, want.witness, want.expansions)
+                else:
+                    want = expected_cycle_search(g, k, budget)
+                assert (got.status, got.witness, got.expansions) == want
 
 
 def full_distances(g, end):
