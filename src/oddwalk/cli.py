@@ -552,19 +552,26 @@ def run_cli(argv) -> tuple[int, dict]:
     try:
         code, report = args.func(args)
     except (ParseError, InputError) as exc:
-        report = {"error": str(exc), "kind": type(exc).__name__}
-        sys.stderr.write(f"usage error: {exc}\n")
-        return USAGE_ERROR, report
+        return _fail(USAGE_ERROR, "usage error", str(exc), type(exc).__name__, args)
     except OddwalkError as exc:
-        report = {"error": str(exc), "kind": type(exc).__name__}
-        sys.stderr.write(f"failure: {exc}\n")
-        return FAILURE, report
+        return _fail(FAILURE, "failure", str(exc), type(exc).__name__, args)
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}"
-        report = {"error": message, "kind": "InternalError"}
-        sys.stderr.write(f"internal error: {message}\n")
-        return INTERNAL_ERROR, report
+        return _fail(INTERNAL_ERROR, "internal error", message, "InternalError", args)
     _emit(report, args)
+    return code, report
+
+
+def _fail(code: int, label: str, message: str, kind: str, args) -> tuple[int, dict]:
+    """Report a failed command on stderr and as a JSON report where the
+    command's report would have gone; the exit code stays `code` even when
+    that report cannot be written."""
+    sys.stderr.write(f"{label}: {message}\n")
+    report = {"error": message, "kind": kind}
+    try:
+        _emit(report, args)
+    except OSError as exc:
+        sys.stderr.write(f"cannot write the failure report: {exc}\n")
     return code, report
 
 

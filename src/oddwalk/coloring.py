@@ -137,10 +137,10 @@ def extend_coloring(phi: GraphHom, split: StableSplit, gamma0: Coloring) -> Colo
     for v in range(g.n):
         base = gamma0.assignment[anchor[v]]
         assignment[v] = base if dist[v] % 2 == 0 else (base + 1) % r
-    out = Coloring(assignment, r)
-    if not out.is_proper(g):
-        raise ViolationError("extension produced an improper coloring", witness=out)
-    return out
+    # proper by the checks above: every edge is an A-edge or a B-edge; A-edges
+    # keep gamma0's colours, and a B-edge joins opposite parities over one
+    # fiber, so its ends get base and base + 1 mod r >= 2
+    return Coloring(assignment, r)
 
 
 def color_ball(h: Graph, v: int, r: int) -> Coloring:

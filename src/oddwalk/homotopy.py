@@ -296,9 +296,11 @@ def check_simply_connected(g: Graph, budget: int = 10**5) -> SimpleConnectivityV
 
     Routes through the neighborhood complex: its fundamental group matches
     the even-walk classes for connected non-bipartite graphs.  A nonzero
-    first homology certifies NOT; a presentation simplifying to the empty
-    one certifies SIMPLY_CONNECTED; otherwise UNKNOWN.  Bipartite or
-    disconnected inputs are refused.
+    first homology certifies NOT.  Otherwise the first homology is 0, so a
+    presentation simplifying to the empty one or to one generator
+    certifies SIMPLY_CONNECTED: a cyclic group equals its abelianization,
+    which is 0.  Anything else is UNKNOWN.  Bipartite or disconnected
+    inputs are refused.
     """
     from . import ncomplex  # deferred: ncomplex imports Walk from this module
 
@@ -313,6 +315,6 @@ def check_simply_connected(g: Graph, budget: int = 10**5) -> SimpleConnectivityV
     basepoint = min(complex_.vertices())
     pres = ncomplex.edge_path_presentation(complex_, basepoint)
     reduced, status = ncomplex.tietze_simplify(pres, budget=budget)
-    if status == ncomplex.TRIVIAL:
+    if status in (ncomplex.TRIVIAL, ncomplex.CYCLIC):
         return SimpleConnectivityVerdict(SIMPLY_CONNECTED)
     return SimpleConnectivityVerdict(UNKNOWN, detail=status)

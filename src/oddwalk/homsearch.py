@@ -162,6 +162,32 @@ def _merge(g: Graph, keep: int, drop: int) -> Graph:
     return Graph.from_sorted_unique(g.n - 1, *csr_from_darts(g.n - 1, tails, label[g.indices]))
 
 
+def _ranked_pairs(g: Graph, stream: Stream, cap: int) -> list[tuple[int, int]]:
+    """The first `cap` non-adjacent pairs u < v by descending codegree
+    |N(u) & N(v)|, ties broken by one stream draw per pair.
+
+    Pairs are listed by u, then v, and each draws from the stream in that
+    order.  The codegrees are one float32 product of the adjacency matrix,
+    exact below 2**24 vertices.  Only the pairs at or above the cap-th
+    largest codegree can rank, so only their draws are computed, and one
+    stable `np.lexsort` orders them.
+    """
+    n = g.n
+    adjacency = np.zeros((n, n), dtype=np.float32)
+    adjacency[csr_rows(g.indptr), g.indices] = 1
+    pairs = np.flatnonzero(np.triu(adjacency == 0, 1))  # u * n + v, ascending
+    codegree = (adjacency @ adjacency).ravel()[pairs]
+    if 0 < cap < len(pairs):
+        floor = np.partition(codegree, len(pairs) - cap)[len(pairs) - cap]
+        ranked = np.flatnonzero(codegree >= floor)
+    else:
+        ranked = np.arange(len(pairs))
+    draws = stream.next_u64s(len(pairs), at=ranked)
+    ranked = ranked[np.lexsort((draws, -codegree[ranked]))[:cap]]
+    us, vs = np.divmod(pairs[ranked], max(n, 1))
+    return list(zip(us.tolist(), vs.tolist()))
+
+
 def fold_search(
     g: Graph,
     forbidden_odd_lengths: set[int],
@@ -175,8 +201,12 @@ def fold_search(
     A merge of two non-adjacent vertices is admissible when every forbidden
     length gets a clean NO from a budgeted cycle search through the merged
     vertex (UNKNOWN counts as inadmissible, keeping claimed quotients
-    honest).  Candidate pairs are ranked by shared neighborhood size, with a
-    seeded shuffle breaking ties, and capped per state.
+    honest).  Each search is `simple_path_dfs` without distances, whose
+    last two layers are counted in closed form; it gets a quarter of the
+    budget left (at least 1,000 expansions), and what it spends decides
+    which merges get tried.  Candidate pairs come from `_ranked_pairs`:
+    shared neighbourhood size first, one seeded stream draw per
+    non-adjacent pair breaking ties, `candidate_cap` per state.
     """
     for length in sorted(forbidden_odd_lengths):
         if length % 2 == 0 or length < 3:
@@ -214,21 +244,7 @@ def fold_search(
     while level and spent < budget:
         next_level = []
         for graph, mapping, steps in level:
-            pairs = [
-                (u, v)
-                for u in range(graph.n)
-                for v in range(u + 1, graph.n)
-                if not graph.has_edge(u, v)
-            ]
-            if not pairs:
-                continue
-            scored = sorted(
-                pairs,
-                key=lambda p: (
-                    -len(graph.adj[p[0]] & graph.adj[p[1]]),
-                    stream.next_u64(),
-                ),
-            )[:candidate_cap]
+            scored = _ranked_pairs(graph, stream, candidate_cap)
             for u, v in scored:
                 if spent >= budget:
                     break

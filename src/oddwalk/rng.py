@@ -12,13 +12,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 
-def mix64(z: int) -> int:
+def mix64(z):
+    """The splitmix64 finaliser of a Python int, or of every entry of a
+    uint64 array, which it may overwrite (numpy's arithmetic wraps mod
+    2**64)."""
     z &= _MASK
     z ^= z >> 30
     z = (z * _MIX1) & _MASK
@@ -41,6 +46,14 @@ class Stream:
     def next_u64(self) -> int:
         self.counter += 1
         return mix64((self.seed + self.counter * _GOLDEN) & _MASK)
+
+    def next_u64s(self, count: int, at: np.ndarray) -> np.ndarray:
+        """The draws at the 0-based positions `at` among the next `count`,
+        as a uint64 array: what `next_u64` would return at those calls.
+        The stream moves past all `count` draws."""
+        counters = at.astype(np.uint64) + np.uint64(self.counter + 1)
+        self.counter += count
+        return mix64(counters * np.uint64(_GOLDEN) + np.uint64(self.seed))
 
     def uniform(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""

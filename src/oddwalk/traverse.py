@@ -12,9 +12,10 @@ function yields them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
+
+import numpy as np
 
 YES = "YES"
 NO = "NO"
@@ -104,18 +105,20 @@ def simple_path_dfs(
     Every vertex entered, the start included, is one expansion; the search
     gives up once expansions exceed `budget`.
 
-    The last layer is counted, not walked.  Once the path holds `steps`
-    vertices, the vertices that could be entered last are the neighbours
-    of its end vertex that pass the filters; with `dist` that is those in
-    {end} and N(end), the vertices at distance at most 1.  The first of
-    them in sorted order that lies in N(end) is the hit.  The search
-    charges one expansion per candidate up to the hit, or all of them when
-    there is none, exactly as entering them one by one would.
+    The deepest layers are counted, not walked: with `dist` the last one
+    (`_pruned_last_layer`), without it the last two (`_counted_last_layers`).
+    Each count is what entering those vertices one by one would charge, up
+    to and including the vertex that closes the first path.  Without
+    `dist`, a path ending at u with two vertices left charges, when no path
+    closes below u, |C| + sum_{w in C} d(w) - sum_{p} |N(p) & C| in closed
+    form, where C is the set of neighbours of u that may be entered, d(w)
+    counts w's neighbours >= `lowest`, and p runs over the vertices >=
+    `lowest` on the path or blocked.  A count that passes the budget ends the search where
+    the walk would have, at floor(budget) + 1 expansions.
 
     Returns (YES, path, expansions), (NO, None, expansions) after an
     exhaustive search, or (UNKNOWN, None, expansions) over budget.
     """
-    adj, nbrs = g.adj, g.sorted_adj
     expansions = 1
     if expansions > budget:
         return UNKNOWN, None, expansions
@@ -123,40 +126,31 @@ def simple_path_dfs(
     on_path = {start}
     if blocked is not None:
         on_path.add(blocked)
-    # vertices that may be entered last and close the path at `end`
-    closers = {w for w in adj[end] if w >= lowest} - on_path
+    if dist is None:
+        counted, count = 2, _counted_last_layers(g, steps, end, lowest, on_path)
+        indices, bounds = g.indices, g.indptr.tolist()
 
-    def close(v: int):
-        """Charge the last layer once the path, ending at v, holds `steps`
-        vertices.  Returns the finished result, or None when no path closes."""
+        def nbrs(v: int) -> list[int]:
+            return indices[bounds[v] : bounds[v + 1]].tolist()
+    else:
+        counted, count = 1, _pruned_last_layer(g, end, lowest, on_path)
+        nbrs = g.sorted_adj.__getitem__
+
+    def finish():
+        """Charge the counted layers below the end of the path.  Returns the
+        finished result, or None when no path closes."""
         nonlocal expansions
-        hits = closers & adj[v]
-        hits.difference_update(path)
-        hit = min(hits) if hits else None
-        if dist is not None:
-            # the only candidate outside N(end) is `end` itself
-            early_end = (
-                end in adj[v] and end >= lowest and end not in on_path
-                and (hit is None or end < hit)
-            )
-            expansions += (hit is not None) + early_end
-        else:
-            row = nbrs[v]
-            top = len(row) if hit is None else bisect_right(row, hit)
-            window = row[bisect_left(row, lowest) : top]
-            expansions += len(window) - len(on_path.intersection(window))
+        charged, rest = count(path)
+        expansions += charged
         if expansions > budget:  # stop where entering one by one would have
             return UNKNOWN, None, math.floor(budget) + 1
-        if hit is not None:
-            return YES, path + [hit], expansions
-        return None
+        return (YES, path + rest, expansions) if rest else None
 
-    if steps == 1:
-        found = close(start)
-        return found if found else (NO, None, expansions)
-    stack = [iter(nbrs[start])]
+    if steps <= counted:
+        return finish() or (NO, None, expansions)
+    stack = [iter(nbrs(start))]
     while stack:
-        remaining = steps - len(stack) + 1  # vertices left to add after this one
+        remaining = steps - len(stack) + 1  # vertices left to add, this one included
         for w in stack[-1]:
             if w < lowest or w in on_path or (dist is not None and dist[w] > remaining):
                 continue
@@ -164,19 +158,134 @@ def simple_path_dfs(
             if expansions > budget:
                 return UNKNOWN, None, expansions
             path.append(w)
-            if remaining == 2:
-                found = close(w)
+            if remaining == counted + 1:
+                found = finish()
                 if found:
                     return found
                 path.pop()
                 continue
             on_path.add(w)
-            stack.append(iter(nbrs[w]))
+            stack.append(iter(nbrs(w)))
             break
         else:
             stack.pop()
             on_path.discard(path.pop())
     return NO, None, expansions
+
+
+def _pruned_last_layer(g, end: int, lowest: int, on_path: set) -> Callable:
+    """The last-layer count of the search with distances to `end`, once
+    the path holds `steps` vertices.
+
+    The vertices that could be entered last are the neighbours of the
+    path's end vertex that pass the filters and lie within distance 1 of
+    `end`: `end` itself and N(end).  The first of them in sorted order
+    that lies in N(end) is the hit.  The count is the candidates up to and
+    including the hit, or all of them when there is none.  `on_path` is
+    the search's live set.
+    """
+    adj = g.adj
+    closers = {w for w in adj[end] if w >= lowest} - on_path
+
+    def count(path: list) -> tuple[int, Optional[list]]:
+        v = path[-1]
+        hits = closers & adj[v]
+        hits.difference_update(path)
+        hit = min(hits) if hits else None
+        # the only candidate outside N(end) is `end` itself
+        early_end = (
+            end in adj[v] and end >= lowest and end not in on_path
+            and (hit is None or end < hit)
+        )
+        return (hit is not None) + early_end, None if hit is None else [hit]
+
+    return count
+
+
+def _counted_last_layers(g, steps: int, end: int, lowest: int, on_path: set) -> Callable:
+    """Counts of the last layers of the search without distances, from bit
+    rows: the last two, or the last one when steps == 1.
+
+    Bit w of rows[v] is set when w is a neighbour of v.  `taken` is the
+    path together with `on_path` as the search starts (the start and the
+    blocked vertex), and free = {w >= lowest} minus taken.
+    - One vertex left to add after v: the candidates are N(v) & free, and
+      the hit is the smallest of them in N(end).  The count is the
+      candidates up to and including the hit, or all of them.
+    - Two left after u: each w in C = N(u) & free costs one expansion and
+      then its own last layer, N(w) & free (u is taken).  When no w in C
+      has a neighbour in N(end) & free, no path closes below u, and with
+      d(w) = |N(w) & {>= lowest}| the count is
+          |C| + sum_{w in C} d(w) - sum_{p in taken, p >= lowest} |N(p) & C|.
+      The middle sum is a per-vertex sum of d over N(u) & {>= lowest},
+      less d(p) for each taken p in N(u), so the count takes O(|path|)
+      word operations.  Only the members of C & reach, where reach is the
+      union of the rows of the closing vertices, are tested for such a
+      neighbour.  When one has it, u is counted w by w up to the hit; that
+      happens at most once per search, which then ends with YES or over
+      budget.
+
+    The rows are set from the CSR arrays in numpy: n * n / 8 bytes.
+    """
+    n, indptr, indices = g.n, g.indptr, g.indices
+    tails = np.repeat(np.arange(n), np.diff(indptr))
+    width = -(-n // 8)  # bytes per row
+    packed = np.bincount(
+        tails * width + (indices >> 3), weights=1 << (indices & 7), minlength=n * width
+    )
+    raw = packed.astype(np.uint8).tobytes()
+    rows = [int.from_bytes(raw[v * width : (v + 1) * width], "little") for v in range(n)]
+    upper = indices >= lowest
+    degree = np.bincount(tails[upper], minlength=n)  # d(v)
+    degree_sums = np.bincount(tails[upper], weights=degree[indices[upper]], minlength=n)
+    degree, degree_sums = degree.tolist(), degree_sums.astype(np.int64).tolist()
+    above = ((1 << n) - 1) >> lowest << lowest
+    before = frozenset(on_path)
+    reach = 0
+    for x in _members(rows[end] & above & ~sum(1 << p for p in before)):
+        reach |= rows[x]
+
+    def last(v: int, free: int, goal: int) -> tuple[int, Optional[list]]:
+        candidates = rows[v] & free
+        hits = candidates & goal
+        if not hits:
+            return candidates.bit_count(), None
+        hit = (hits & -hits).bit_length() - 1
+        return (candidates & ((2 << hit) - 1)).bit_count(), [hit]
+
+    def count(path: list) -> tuple[int, Optional[list]]:
+        u = path[-1]
+        taken = before.union(path)
+        free = above & ~sum(1 << p for p in taken)
+        goal = rows[end] & free
+        if len(path) == steps:
+            return last(u, free, goal)
+        block = rows[u] & free
+        probe = block & reach
+        if probe and any(rows[w] & goal for w in _members(probe)):
+            charged = 0
+            for w in _members(block):
+                used, rest = last(w, free, goal)
+                charged += 1 + used
+                if rest:
+                    return charged, [w] + rest
+        charged = block.bit_count() + degree_sums[u]
+        for p in taken:
+            if p >= lowest:
+                charged -= (rows[p] & block).bit_count()
+                if rows[u] >> p & 1:
+                    charged -= degree[p]
+        return charged, None
+
+    return count
+
+
+def _members(bits: int) -> Iterator[int]:
+    """The positions of the set bits of `bits`, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def meet_in_the_middle(

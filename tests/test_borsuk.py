@@ -444,3 +444,14 @@ def test_stream_determinism_and_substreams():
     assert derive_seed(5, "probes") != derive_seed(5, "folds")
     g = [Stream(9).gaussian() for _ in range(4)]
     assert g == [Stream(9).gaussian() for _ in range(4)]
+
+
+def test_stream_draws_in_bulk_match_one_by_one():
+    for seed in (0, 123, 2**64 - 1):
+        for counter in (0, 7, 2**64 - 5):  # the last wraps the counter mod 2**64
+            one, bulk = Stream(seed), Stream(seed)
+            one.counter = bulk.counter = counter
+            want = [one.next_u64() for _ in range(6)]
+            got = bulk.next_u64s(6, at=np.array([0, 2, 5]))
+            assert got.tolist() == [want[0], want[2], want[5]]
+            assert bulk.counter == one.counter

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -65,6 +66,25 @@ def test_internal_error_gets_its_own_exit_code_and_report(tmp_path, monkeypatch,
     assert INTERNAL_ERROR not in (0, FAILURE, USAGE_ERROR)
     assert report == {"error": "KeyError: 'missing'", "kind": "InternalError"}
     assert "internal error: KeyError" in capsys.readouterr().err
+
+
+def test_failure_report_goes_where_the_report_would(tmp_path, capsys):
+    gp = write_graph(tmp_path, "c5.el", cycle(5))
+    argv = ["fold", "--graph", gp, "--forbid", "5"]
+    out = tmp_path / "report.json"
+    code, report = run_cli(argv + ["--json", str(out)])
+    assert code == USAGE_ERROR
+    assert report == {"error": "input already contains a 5-cycle", "kind": "InputError"}
+    assert json.loads(out.read_text()) == report
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: input already contains a 5-cycle" in captured.err
+    # without --json it goes to stdout
+    assert run_cli(argv)[0] == USAGE_ERROR
+    assert json.loads(capsys.readouterr().out) == report
+    # a report that cannot be written leaves the exit code as it is
+    assert run_cli(argv + ["--json", str(tmp_path / "missing" / "r.json")])[0] == USAGE_ERROR
+    assert "cannot write the failure report" in capsys.readouterr().err
 
 
 def test_gen_borsuk_deterministic_files(tmp_path, capsys):
@@ -183,6 +203,15 @@ def test_fold_command(tmp_path, capsys):
         mapping = [x - 1 if x > merged else x for x in mapping]
     quotient = Graph(doc["final_vertices"], [tuple(e) for e in doc["final_edges"]])
     GraphHom(g, quotient, tuple(mapping))  # raises on a non-homomorphism
+
+
+def test_fold_command_on_the_committed_7_cycle(capsys):
+    # the input and the answer of the CI smoke test
+    path = os.path.join(os.path.dirname(__file__), "data", "c7.el")
+    code, report = run_cli(["fold", "--graph", path, "--forbid", "5", "--seed", "3"])
+    capsys.readouterr()
+    assert code == 0
+    assert report["results"]["final_vertices"] == 3
 
 
 def test_experiment_dhom_deterministic(capsys):

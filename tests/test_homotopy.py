@@ -241,6 +241,23 @@ def test_not_simply_connected_k3_and_c5():
         assert verdict.detail.torsion == ()
 
 
+@pytest.mark.parametrize(
+    "status, verdict",
+    [("CYCLIC", "SIMPLY_CONNECTED"), ("UNKNOWN", "UNKNOWN"), ("TRIVIAL", "SIMPLY_CONNECTED")],
+)
+def test_cyclic_presentation_with_zero_homology_is_simply_connected(monkeypatch, status, verdict):
+    # no small graph was found whose simplification stops at one generator,
+    # so the simplifier is stubbed; K4's first homology is 0, and a cyclic
+    # group with zero abelianization is trivial
+    from oddwalk import ncomplex
+
+    stub = ncomplex.GroupPresentation(1, ((1, 1), (1, 1, 1)))
+    monkeypatch.setattr(ncomplex, "tietze_simplify", lambda pres, budget: (stub, status))
+    result = check_simply_connected(complete(4))
+    assert result.status == verdict
+    assert result.detail == (status if verdict == "UNKNOWN" else None)
+
+
 def test_simply_connected_refusals():
     with pytest.raises(RefusalError, match="non-bipartite"):
         check_simply_connected(cycle(6))

@@ -36,6 +36,7 @@ from oddwalk.graph import (
 from oddwalk.homotopy import Walk, are_homotopic
 from oddwalk.homsearch import fold_search, hom_exists
 from oddwalk.ncomplex import build_ncomplex, equivalent_edge_paths, walk_to_edgepath
+from oddwalk.rng import Stream
 from oddwalk.traverse import bfs, depths, odd_closed_walk_length, path_to_root, simple_path_dfs
 
 EPS5 = math.pi / 5
@@ -207,18 +208,31 @@ def full_distances(g, end):
     return {v: d.get(v, math.inf) for v in range(g.n)}
 
 
+def expected_under_budget(full, budget):
+    """The reference walk's result under `budget`, from its unlimited run
+    `full`: it counts one expansion at a time and stops at the first count
+    above the budget, so any budget below what the full run spends ends in
+    UNKNOWN with floor(budget) + 1 expansions."""
+    return full if budget >= full[2] else ("UNKNOWN", None, math.floor(budget) + 1)
+
+
 def check_path_dfs(g, rnd):
     """`simple_path_dfs` against the walk-every-vertex reference: steps 1-6,
-    each of lowest, blocked and dist on or off, unlimited and random finite
-    budgets, and budgets at and one below the expansions it spends."""
+    each of lowest (above 0), blocked and dist on or off, unlimited and
+    finite budgets.  The reference runs at the budget it spends, one below
+    and two random ones.  Without dist, where the last two layers are
+    counted in bulk, every budget from 1 to spent + 1 is checked when the
+    search spends at most 500 expansions, and 50 random ones otherwise, so
+    budgets land inside the counted blocks."""
     if g.n == 0:
         return
     for steps in range(1, 7):
         for use_lowest, use_blocked, use_dist in itertools.product((False, True), repeat=3):
             start, end = rnd.randrange(g.n), rnd.randrange(g.n)
+            blocked = rnd.choice([start, rnd.randrange(g.n)]) if use_blocked else None
             kwargs = {
-                "lowest": rnd.randrange(g.n) if use_lowest else 0,
-                "blocked": rnd.randrange(g.n) if use_blocked else None,
+                "lowest": rnd.randint(1, g.n) if use_lowest else 0,
+                "blocked": blocked,
                 "dist": full_distances(g, end) if use_dist else None,
             }
             want = ref.simple_path_dfs(g, start, steps, end, **kwargs)
@@ -227,6 +241,16 @@ def check_path_dfs(g, rnd):
             for budget in {spent, spent - 1, rnd.randint(1, spent + 1), rnd.randint(1, 3)}:
                 got = simple_path_dfs(g, start, steps, end, budget=budget, **kwargs)
                 assert got == ref.simple_path_dfs(g, start, steps, end, budget=budget, **kwargs)
+                assert got == expected_under_budget(want, budget)
+            if use_dist:
+                continue
+            if spent <= 500:
+                budgets = range(1, spent + 2)
+            else:
+                budgets = [rnd.randint(1, spent + 1) for _ in range(50)]
+            for budget in budgets:
+                got = simple_path_dfs(g, start, steps, end, budget=budget, **kwargs)
+                assert got == expected_under_budget(want, budget)
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))
@@ -254,23 +278,71 @@ def test_simple_path_dfs_charges_a_hit_at_its_rank():
     assert simple_path_dfs(g, 0, 2, 5, dist=full_distances(g, 5)) == ("YES", [0, 1, 4], 3)
 
 
-def test_fold_search_matches_reference_path_dfs(monkeypatch):
+def traced_fold(g, forbidden, reference, **kwargs):
+    """fold_search's describe(), each admissibility search's (status, path,
+    expansions) and the stream counter after each candidate ranking, with
+    the library's search and ranking or with the reference ones."""
+    dfs = ref.simple_path_dfs if reference else simple_path_dfs
+    rank = ref.ranked_pairs if reference else homsearch._ranked_pairs
+    calls, counters = [], []
+
+    def recorded_dfs(*args, **kw):
+        calls.append(dfs(*args, **kw))
+        return calls[-1]
+
+    def recorded_rank(graph, stream, cap):
+        ranked = rank(graph, stream, cap)
+        counters.append(stream.counter)
+        return ranked
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homsearch, "simple_path_dfs", recorded_dfs)
+        patch.setattr(homsearch, "_ranked_pairs", recorded_rank)
+        return fold_search(g, forbidden, **kwargs).describe(), calls, counters
+
+
+def test_fold_search_matches_reference_path_dfs():
     # every expansion is spent from the fold's budget, so a miscount moves
     # `spent` and with it each search's share and the merges that get tried;
     # each search's (status, path, expansions) is compared as well
     g = sample_approximation(2, EPS5, 50, 94).graph  # 100 vertices; two merges close a 5-cycle
-    runs = []
-    for dfs in (simple_path_dfs, ref.simple_path_dfs):
-        calls = []
+    kwargs = {"beam": 2, "budget": 2 * 10**5, "seed": 3}
+    got = traced_fold(g, {5}, False, **kwargs)
+    assert got == traced_fold(g, {5}, True, **kwargs)
+    assert got[0]["merges"]
+    assert {status for status, _, _ in got[1]} == {"YES", "NO", "UNKNOWN"}
 
-        def recorded(*args, dfs=dfs, calls=calls, **kwargs):
-            calls.append(dfs(*args, **kwargs))
-            return calls[-1]
 
-        monkeypatch.setattr(homsearch, "simple_path_dfs", recorded)
-        runs.append((fold_search(g, {5}, beam=2, budget=2 * 10**5, seed=3).describe(), calls))
-    assert runs[0] == runs[1]
-    assert runs[0][0]["merges"]
+@given(
+    st.integers(min_value=8, max_value=40),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=20000),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([{5}, {5, 7}, {7}]),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_fold_search_matches_reference_on_random_samples(
+    count, sample_seed, budget, beam, forbidden, seed
+):
+    # pi/5 samples have no 5-cycle; small budgets make shares run out
+    g = sample_approximation(2, EPS5, count, sample_seed).graph
+    if 7 in forbidden and has_cycle_of_length(g, 7).status != NO:
+        return
+    kwargs = {"beam": beam, "budget": budget, "seed": seed}
+    got = traced_fold(g, forbidden, False, **kwargs)
+    assert got == traced_fold(g, forbidden, True, **kwargs)
+
+
+def test_ranked_pairs_matches_reference():
+    for g in [*CORPUS, sample_approximation(2, EPS5, 150, 5001).graph]:
+        for cap in (0, 1, 5, 64, 10**6):
+            for seed in (0, 7):
+                stream, want_stream = Stream(seed), Stream(seed)
+                stream.counter = want_stream.counter = 11
+                got = homsearch._ranked_pairs(g, stream, cap)
+                assert got == ref.ranked_pairs(g, want_stream, cap)
+                assert stream.counter == want_stream.counter
 
 
 def test_shortest_odd_cycle_on_a_deep_cycle():

@@ -11,7 +11,9 @@ n-pass odd-girth search that the depth cut-off replaced, and
 before its search ran on vertex tuples.  `degeneracy_order` is the
 minimum scan over every remaining vertex that the bucket queue replaced.
 `simple_path_dfs` is the budgeted path search that entered every vertex
-of its last layer one by one, before that layer was counted in bulk.
+of its last layers one by one, before they were counted in bulk, and
+`ranked_pairs` the fold search's candidate ranking before it became one
+array sort.
 """
 
 import math
@@ -512,3 +514,10 @@ def simple_path_dfs(
             stack.pop()
             on_path.discard(path.pop())
     return NO, None, expansions
+
+
+def ranked_pairs(g, stream, cap):
+    """Every non-adjacent pair u < v in order, sorted by descending codegree
+    with one stream draw per pair as the tie-break; the first `cap`."""
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    return sorted(pairs, key=lambda p: (-len(g.adj[p[0]] & g.adj[p[1]]), stream.next_u64()))[:cap]
