@@ -28,6 +28,7 @@ from .homotopy import Walk
 from .rng import Stream, derive_seed
 
 NORM_TOLERANCE = 1e-12
+GRAM_BLOCK = 256  # Gram rows held at once by _gram_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +141,14 @@ def _sample_points(n: int, count: int, stream: Stream) -> np.ndarray:
     return rows
 
 
-def _gram_blocks(points: np.ndarray, block: int = 256):
+def _gram_blocks(points: np.ndarray):
     """Yield (start, gram rows) with a reduction order independent of BLAS:
-    the gram is accumulated coordinate by coordinate.  The block size only
-    sets how many rows are held at once (small enough to stay in cache),
-    never an entry's value."""
+    the gram is accumulated coordinate by coordinate.  GRAM_BLOCK only sets
+    how many rows are held at once (small enough to stay in cache), never
+    an entry's value."""
     m, d = points.shape
-    for start in range(0, m, block):
-        rows = points[start : start + block]
+    for start in range(0, m, GRAM_BLOCK):
+        rows = points[start : start + GRAM_BLOCK]
         gram = np.zeros((len(rows), m))
         for k in range(d):
             gram += np.multiply.outer(rows[:, k], points[:, k])

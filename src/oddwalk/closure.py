@@ -53,9 +53,6 @@ class GraphHom:
     def edge_image(self, e: tuple[int, int]) -> tuple[int, int]:
         return canon_edge(self.mapping[e[0]], self.mapping[e[1]])
 
-    def fiber(self, u: int) -> frozenset[int]:
-        return frozenset(v for v in range(self.source.n) if self.mapping[v] == u)
-
 
 def parse_hom(text: str, source: Graph, target: Graph) -> GraphHom:
     """Parse "u -> x" lines into a validated homomorphism."""
@@ -113,9 +110,6 @@ class EdgeMultiset:
         if other.owner is not self.owner and other.owner != self.owner:
             raise InputError("cannot add multisets over different graphs")
         return EdgeMultiset(self.counts + other.counts, self.owner)
-
-    def support(self) -> frozenset:
-        return frozenset(self.counts)
 
     def without_edges(self, edge_set) -> "EdgeMultiset":
         return EdgeMultiset(

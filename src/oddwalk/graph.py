@@ -5,10 +5,10 @@ library is built on.
 Vertices are 0..n-1.  A graph is stored once, as compressed sparse rows:
 two int64 arrays, `indptr` and `indices`, list every vertex's neighbours in
 ascending order.  The Python views that the traversals walk (`adj`,
-`sorted_adj`, `edges`) are built from those arrays on first use, so array
-kernels such as `odd_walk_free` never pay for them.  Edges are always
-handled in canonical form (min, max); `canon_edge` is the single place that
-normalization happens.  All graphs are immutable after construction and
+`sorted_adj`, `edges`, `bit_rows`) are built from those arrays on first
+use, so array kernels such as `odd_walk_free` never pay for them.  Edges
+are always handled in canonical form (min, max); `canon_edge` is the
+single place that normalization happens.  All graphs are immutable after construction and
 safe to share.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -39,6 +40,8 @@ MAX_VERTICES = 10**6
 # largest vertex count for which has_cycle_of_length runs the exact odd-walk
 # check first; its bit rows take n * n / 8 bytes per copy
 ODD_WALK_CHECK_MAX_VERTICES = 2**14
+# rows that Graph.bit_rows packs at once, on the first read of any of them
+ROW_BLOCK = 1024
 
 
 def canon_edge(u: int, v: int) -> tuple[int, int]:
@@ -48,6 +51,53 @@ def canon_edge(u: int, v: int) -> tuple[int, int]:
 def csr_rows(indptr: np.ndarray) -> np.ndarray:
     """The row of every entry of a CSR `indices` array."""
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def pack_rows(
+    indptr: np.ndarray, indices: np.ndarray, lo: int = 0, hi: Optional[int] = None
+) -> np.ndarray:
+    """Rows lo..hi-1 (all rows by default) of CSR arrays with ascending
+    rows, as bit rows: entry w of row v sets bit w % 64 of word w // 64 of
+    row v - lo.  Every row gets the words that the largest entry among
+    them needs."""
+    hi = len(indptr) - 1 if hi is None else hi
+    cols = indices[indptr[lo] : indptr[hi]]
+    width = int(cols.max()) // 64 + 1 if len(cols) else 1
+    keys = np.repeat(np.arange(hi - lo) * width, np.diff(indptr[lo : hi + 1]))
+    keys += cols >> 6
+    words = np.zeros((hi - lo) * width, dtype=np.uint64)
+    if len(keys):
+        # ascending rows keep each word's entries together
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(first)
+        bits = (cols & 63).astype(np.uint64)
+        np.left_shift(np.uint64(1), bits, out=bits)
+        words[keys[starts]] = np.bitwise_or.reduceat(bits, starts)
+    return words.reshape(hi - lo, width)
+
+
+class BitRows(dict):
+    """Vertex v -> the int whose bit w is set for each neighbour w of v.
+
+    Rows are packed by `pack_rows` in blocks of ROW_BLOCK vertices, a block
+    on the first read of any of its rows, so a search that reaches few
+    vertices of a large graph packs few rows."""
+
+    __slots__ = ("indptr", "indices")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        super().__init__()
+        self.indptr, self.indices = indptr, indices
+
+    def __missing__(self, v: int) -> int:
+        lo = v - v % ROW_BLOCK
+        hi = min(lo + ROW_BLOCK, len(self.indptr) - 1)
+        words = pack_rows(self.indptr, self.indices, lo, hi)
+        raw, size = words.astype("<u8", copy=False).tobytes(), 8 * words.shape[1]
+        chunks = [raw[at : at + size] for at in range(0, len(raw), size)]
+        self.update(zip(range(lo, hi), map(int.from_bytes, chunks, repeat("little"))))
+        return self[v]
 
 
 def csr_from_darts(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,15 +121,17 @@ class Graph:
     symmetric, so the arrays are canonical: two graphs are equal exactly
     when their vertex counts and arrays are.
 
-    Three views are built from the arrays on first use and kept: `sorted_adj`
-    (ascending tuples), `adj` (frozensets of the same rows) and `edges` (the
-    sorted tuple of canonical edges).  Until then their slots are unset, and
-    reading one falls through to `__getattr__`, which fills it; after that a
-    read is a plain slot access.
+    Four views are built from the arrays on first use and kept: `sorted_adj`
+    (ascending tuples), `adj` (frozensets of the same rows), `edges` (the
+    sorted tuple of canonical edges) and `bit_rows` (the rows as ints, see
+    `BitRows`, itself filled block by block).  Until then their slots are
+    unset, and reading one falls through to `__getattr__`, which fills it;
+    after that a read is a plain slot access.
     """
 
     __slots__ = (
-        "n", "indptr", "indices", "sorted_adj", "adj", "edges", "_hash", "_c4_partition"
+        "n", "indptr", "indices", "sorted_adj", "adj", "edges", "bit_rows", "_hash",
+        "_c4_partition",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -121,6 +173,8 @@ class Graph:
         elif name == "edges":
             us, ws = self.edge_ends()
             view = tuple(zip(us.tolist(), ws.tolist()))
+        elif name == "bit_rows":
+            view = BitRows(self.indptr, self.indices)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         setattr(self, name, view)
@@ -132,9 +186,6 @@ class Graph:
         tails = csr_rows(self.indptr)
         upper = self.indices > tails
         return tails[upper], self.indices[upper]
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
 
     def sorted_neighbors(self, v: int) -> tuple[int, ...]:
         return self.sorted_adj[v]
@@ -404,7 +455,7 @@ def odd_walk_free(indptr: np.ndarray, indices: np.ndarray, length: int) -> bool:
     S_j[u] be the set of vertices that u reaches by a walk of exactly j
     steps, k = (length - 1) // 2.  A closed walk of `length` steps exists
     iff some edge (u, w) has S_k[u] and S_k[w] meeting.  Each S_j is a
-    matrix of bit rows packed into 64-bit words: S_1 is set straight from
+    matrix of bit rows packed into 64-bit words: S_1 is `pack_rows` of
     the CSR rows, and each of the k - 1 rounds ORs the rows of u's
     neighbours into S_{j+1}[u].  The edge test ORs S_k over the neighbours
     w >= u and ANDs it with S_k[u].  The check is exact integer work with
@@ -412,17 +463,13 @@ def odd_walk_free(indptr: np.ndarray, indices: np.ndarray, length: int) -> bool:
     (Itai & Rodeh, SIAM J. Comput. 1978, for odd girth by reachability).
     """
     n = len(indptr) - 1
-    tails = csr_rows(indptr)
     if length == 1:
-        return not np.any(indices == tails)
-    width = -(-n // 64)  # 64-bit words per row
-    words = np.zeros(n * width, dtype=np.uint64)
-    bits = np.left_shift(np.uint64(1), (indices & 63).astype(np.uint64))
-    np.bitwise_or.at(words, tails * width + (indices >> 6), bits)
-    words = words.reshape(n, width)
+        return not np.any(indices == csr_rows(indptr))
+    words = pack_rows(indptr, indices)
     ends = indptr[1:]
     for _ in range(length // 2 - 1):
         words = _or_of_rows(words, indptr[:-1], ends, indices)
+    tails = csr_rows(indptr)
     above = indptr[:-1] + np.bincount(tails[indices < tails], minlength=n)
     return not np.bitwise_and(words, _or_of_rows(words, above, ends, indices)).any()
 

@@ -75,9 +75,6 @@ class Walk:
     def edge_multiset(self) -> EdgeMultiset:
         return EdgeMultiset.from_walk_vertices(self.graph, self.vertices)
 
-    def reversed(self) -> "Walk":
-        return Walk(self.graph, self.vertices[::-1])
-
     def __eq__(self, other):
         return (
             isinstance(other, Walk)

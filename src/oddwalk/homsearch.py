@@ -148,18 +148,19 @@ class FoldTrace:
         }
 
 
-def _merge(g: Graph, keep: int, drop: int) -> Graph:
+def _merge(g: Graph, keep: int, drop: int) -> tuple[Graph, np.ndarray]:
     """Identify two non-adjacent vertices; labels above `drop` shift down.
 
     Both ends of every edge are relabelled, and the CSR build drops the
-    duplicates that the common neighbours of keep and drop leave.
+    duplicates that the common neighbours of keep and drop leave.  Returns
+    the quotient and the label of every vertex of g in it.
     """
-    assert keep != drop and not g.has_edge(keep, drop)
     label = np.arange(g.n)
     label[drop] = keep
     label -= label > drop
     tails = label[csr_rows(g.indptr)]
-    return Graph.from_sorted_unique(g.n - 1, *csr_from_darts(g.n - 1, tails, label[g.indices]))
+    merged = csr_from_darts(g.n - 1, tails, label[g.indices])
+    return Graph.from_sorted_unique(g.n - 1, *merged), label
 
 
 def _ranked_pairs(g: Graph, stream: Stream, cap: int) -> list[tuple[int, int]]:
@@ -248,20 +249,12 @@ def fold_search(
             for u, v in scored:
                 if spent >= budget:
                     break
-                candidate = _merge(graph, u, v)
+                candidate, label = _merge(graph, u, v)
                 ok, log = admissible(candidate, u)
                 if not ok:
                     continue
-                new_mapping = []
-                for orig in mapping:
-                    x = u if orig == v else orig
-                    new_mapping.append(x - 1 if x > v else x)
-                entry = (
-                    candidate,
-                    tuple(new_mapping),
-                    steps + [FoldStep(u, v, log)],
-                )
-                next_level.append(entry)
+                new_mapping = tuple(label[list(mapping)].tolist())
+                next_level.append((candidate, new_mapping, steps + [FoldStep(u, v, log)]))
         next_level.sort(key=lambda e: (e[0].n, e[0].num_edges()))
         level = next_level[:beam]
         if level and level[0][0].n < best[0].n:

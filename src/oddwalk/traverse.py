@@ -15,8 +15,6 @@ import math
 from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
-import numpy as np
-
 YES = "YES"
 NO = "NO"
 UNKNOWN = "UNKNOWN"
@@ -105,16 +103,33 @@ def simple_path_dfs(
     Every vertex entered, the start included, is one expansion; the search
     gives up once expansions exceed `budget`.
 
-    The deepest layers are counted, not walked: with `dist` the last one
-    (`_pruned_last_layer`), without it the last two (`_counted_last_layers`).
-    Each count is what entering those vertices one by one would charge, up
-    to and including the vertex that closes the first path.  Without
-    `dist`, a path ending at u with two vertices left charges, when no path
-    closes below u, |C| + sum_{w in C} d(w) - sum_{p} |N(p) & C| in closed
-    form, where C is the set of neighbours of u that may be entered, d(w)
-    counts w's neighbours >= `lowest`, and p runs over the vertices >=
-    `lowest` on the path or blocked.  A count that passes the budget ends the search where
-    the walk would have, at floor(budget) + 1 expansions.
+    The search reads the graph's bit rows (`g.bit_rows`: bit w of rows[v]
+    is set when w is a neighbour of v) and keeps the set of vertices it may
+    still enter as one such int as the path moves.  The layers above the
+    last two are walked; the last two are counted, not walked, at what
+    entering their vertices one by one would charge, up to and including
+    the vertex that closes the first path.  The last vertex must lie in A1
+    and the one before it in A2: with `dist`, A1 = N[end] and A2 =
+    N[N[end]] (distance at most 1 and 2), otherwise every vertex.  Let free
+    be the vertices >= `lowest` that are off the path and not blocked.
+    - One vertex left to add after v: the candidates are N(v) & free & A1,
+      and the hit is the smallest of them in N(end).  The count is the
+      candidates up to and including the hit, or all of them.
+    - Two left after u: each w in C = N(u) & free & A2 costs one expansion
+      and then its own last layer.  When some w in C has a neighbour in
+      N(end) & free, or C is no larger than the path, u is counted w by w,
+      up to the hit if there is one.  Only the members of C & reach, where
+      reach is the union of the rows of the closing vertices, are tested
+      for such a neighbour.  Otherwise no path closes below u, and with
+      d(w) = |N(w) & A1 & {>= lowest}| the count is, in closed form,
+          |C| + sum_{w in C} d(w) - sum_{p} |N(p) & C|,
+      p running over the path and blocked vertices in A1 & {>= lowest}.
+      The middle sum is the sum of d over N(u) & A2 & {>= lowest},
+      computed once per u, less d(p) for each such p that is taken, so the
+      count takes O(|path|) word operations.
+    A count that passes the budget ends the search where the walk would
+    have, at floor(budget) + 1 expansions.  Set-up takes O(deg(end)) row
+    operations.
 
     Returns (YES, path, expansions), (NO, None, expansions) after an
     exhaustive search, or (UNKNOWN, None, expansions) over budget.
@@ -122,162 +137,97 @@ def simple_path_dfs(
     expansions = 1
     if expansions > budget:
         return UNKNOWN, None, expansions
+    rows = g.bit_rows
     path = [start]
-    on_path = {start}
-    if blocked is not None:
-        on_path.add(blocked)
-    if dist is None:
-        counted, count = 2, _counted_last_layers(g, steps, end, lowest, on_path)
-        indices, bounds = g.indices, g.indptr.tolist()
-
-        def nbrs(v: int) -> list[int]:
-            return indices[bounds[v] : bounds[v + 1]].tolist()
-    else:
-        counted, count = 1, _pruned_last_layer(g, end, lowest, on_path)
-        nbrs = g.sorted_adj.__getitem__
-
-    def finish():
-        """Charge the counted layers below the end of the path.  Returns the
-        finished result, or None when no path closes."""
-        nonlocal expansions
-        charged, rest = count(path)
-        expansions += charged
-        if expansions > budget:  # stop where entering one by one would have
-            return UNKNOWN, None, math.floor(budget) + 1
-        return (YES, path + rest, expansions) if rest else None
-
-    if steps <= counted:
-        return finish() or (NO, None, expansions)
-    stack = [iter(nbrs(start))]
-    while stack:
-        remaining = steps - len(stack) + 1  # vertices left to add, this one included
-        for w in stack[-1]:
-            if w < lowest or w in on_path or (dist is not None and dist[w] > remaining):
-                continue
-            expansions += 1
-            if expansions > budget:
-                return UNKNOWN, None, expansions
-            path.append(w)
-            if remaining == counted + 1:
-                found = finish()
-                if found:
-                    return found
-                path.pop()
-                continue
-            on_path.add(w)
-            stack.append(iter(nbrs(w)))
-            break
-        else:
-            stack.pop()
-            on_path.discard(path.pop())
-    return NO, None, expansions
-
-
-def _pruned_last_layer(g, end: int, lowest: int, on_path: set) -> Callable:
-    """The last-layer count of the search with distances to `end`, once
-    the path holds `steps` vertices.
-
-    The vertices that could be entered last are the neighbours of the
-    path's end vertex that pass the filters and lie within distance 1 of
-    `end`: `end` itself and N(end).  The first of them in sorted order
-    that lies in N(end) is the hit.  The count is the candidates up to and
-    including the hit, or all of them when there is none.  `on_path` is
-    the search's live set.
-    """
-    adj = g.adj
-    closers = {w for w in adj[end] if w >= lowest} - on_path
-
-    def count(path: list) -> tuple[int, Optional[list]]:
-        v = path[-1]
-        hits = closers & adj[v]
-        hits.difference_update(path)
-        hit = min(hits) if hits else None
-        # the only candidate outside N(end) is `end` itself
-        early_end = (
-            end in adj[v] and end >= lowest and end not in on_path
-            and (hit is None or end < hit)
-        )
-        return (hit is not None) + early_end, None if hit is None else [hit]
-
-    return count
-
-
-def _counted_last_layers(g, steps: int, end: int, lowest: int, on_path: set) -> Callable:
-    """Counts of the last layers of the search without distances, from bit
-    rows: the last two, or the last one when steps == 1.
-
-    Bit w of rows[v] is set when w is a neighbour of v.  `taken` is the
-    path together with `on_path` as the search starts (the start and the
-    blocked vertex), and free = {w >= lowest} minus taken.
-    - One vertex left to add after v: the candidates are N(v) & free, and
-      the hit is the smallest of them in N(end).  The count is the
-      candidates up to and including the hit, or all of them.
-    - Two left after u: each w in C = N(u) & free costs one expansion and
-      then its own last layer, N(w) & free (u is taken).  When no w in C
-      has a neighbour in N(end) & free, no path closes below u, and with
-      d(w) = |N(w) & {>= lowest}| the count is
-          |C| + sum_{w in C} d(w) - sum_{p in taken, p >= lowest} |N(p) & C|.
-      The middle sum is a per-vertex sum of d over N(u) & {>= lowest},
-      less d(p) for each taken p in N(u), so the count takes O(|path|)
-      word operations.  Only the members of C & reach, where reach is the
-      union of the rows of the closing vertices, are tested for such a
-      neighbour.  When one has it, u is counted w by w up to the hit; that
-      happens at most once per search, which then ends with YES or over
-      budget.
-
-    The rows are set from the CSR arrays in numpy: n * n / 8 bytes.
-    """
-    n, indptr, indices = g.n, g.indptr, g.indices
-    tails = np.repeat(np.arange(n), np.diff(indptr))
-    width = -(-n // 8)  # bytes per row
-    packed = np.bincount(
-        tails * width + (indices >> 3), weights=1 << (indices & 7), minlength=n * width
-    )
-    raw = packed.astype(np.uint8).tobytes()
-    rows = [int.from_bytes(raw[v * width : (v + 1) * width], "little") for v in range(n)]
-    upper = indices >= lowest
-    degree = np.bincount(tails[upper], minlength=n)  # d(v)
-    degree_sums = np.bincount(tails[upper], weights=degree[indices[upper]], minlength=n)
-    degree, degree_sums = degree.tolist(), degree_sums.astype(np.int64).tolist()
-    above = ((1 << n) - 1) >> lowest << lowest
-    before = frozenset(on_path)
+    also_taken = [] if blocked in (None, start) else [blocked]
+    high = -1 << lowest  # the vertices >= lowest
+    free = high & ~sum(1 << p for p in path + also_taken)  # kept up to date with the path
+    closing = rows[end] & high
     reach = 0
-    for x in _members(rows[end] & above & ~sum(1 << p for p in before)):
+    for x in _members(closing & free):
         reach |= rows[x]
+    if dist is None:
+        near = nearer = -1
+    else:
+        near = rows[end] | 1 << end
+        nearer = near
+        for x in _members(rows[end]):
+            nearer |= rows[x]
+    counted = near & high  # d(w) = |N(w) & counted|
+    degree_sums: dict[int, int] = {}
 
-    def last(v: int, free: int, goal: int) -> tuple[int, Optional[list]]:
-        candidates = rows[v] & free
+    def last(v: int, goal: int) -> tuple[int, Optional[list]]:
+        candidates = rows[v] & free & near
         hits = candidates & goal
         if not hits:
             return candidates.bit_count(), None
         hit = (hits & -hits).bit_length() - 1
         return (candidates & ((2 << hit) - 1)).bit_count(), [hit]
 
-    def count(path: list) -> tuple[int, Optional[list]]:
+    def count() -> tuple[int, Optional[list]]:
         u = path[-1]
-        taken = before.union(path)
-        free = above & ~sum(1 << p for p in taken)
-        goal = rows[end] & free
+        goal = closing & free
         if len(path) == steps:
-            return last(u, free, goal)
-        block = rows[u] & free
+            return last(u, goal)
+        block = rows[u] & free & nearer
         probe = block & reach
-        if probe and any(rows[w] & goal for w in _members(probe)):
+        if block.bit_count() <= len(path) or probe and any(
+            rows[w] & goal for w in _members(probe)
+        ):
             charged = 0
             for w in _members(block):
-                used, rest = last(w, free, goal)
+                used, rest = last(w, goal)
                 charged += 1 + used
                 if rest:
                     return charged, [w] + rest
+            return charged, None
+        around = rows[u] & nearer & high
+        if u not in degree_sums:
+            degree_sums[u] = sum([(rows[w] & counted).bit_count() for w in _members(around)])
         charged = block.bit_count() + degree_sums[u]
-        for p in taken:
-            if p >= lowest:
+        for p in path + also_taken:
+            if counted >> p & 1:  # off the last layer of every w in C
                 charged -= (rows[p] & block).bit_count()
-                if rows[u] >> p & 1:
-                    charged -= degree[p]
+            if around >> p & 1:  # not in C
+                charged -= (rows[p] & counted).bit_count()
         return charged, None
 
-    return count
+    def finish():
+        """Charge the counted layers below the end of the path.  Returns the
+        finished result, or None when no path closes."""
+        nonlocal expansions
+        charged, rest = count()
+        expansions += charged
+        if expansions > budget:  # stop where entering one by one would have
+            return UNKNOWN, None, math.floor(budget) + 1
+        return (YES, path + rest, expansions) if rest else None
+
+    if steps <= 2:
+        return finish() or (NO, None, expansions)
+    stack = [_members(rows[start] & free)]
+    while stack:
+        remaining = steps - len(stack) + 1  # vertices left to add, this one included
+        for w in stack[-1]:
+            if dist is not None and dist[w] > remaining:
+                continue
+            expansions += 1
+            if expansions > budget:
+                return UNKNOWN, None, expansions
+            path.append(w)
+            free ^= 1 << w
+            if remaining == 3:
+                found = finish()
+                if found:
+                    return found
+                path.pop()
+                free |= 1 << w
+                continue
+            stack.append(_members(rows[w] & free))
+            break
+        else:
+            stack.pop()
+            free |= 1 << path.pop()
+    return NO, None, expansions
 
 
 def _members(bits: int) -> Iterator[int]:

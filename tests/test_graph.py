@@ -359,3 +359,35 @@ def test_graph_views_are_built_on_first_use():
     assert g.sorted_adj is g.sorted_adj and g.edges == ((0, 1), (1, 2), (2, 3))
     with pytest.raises(AttributeError):
         g.no_such_view
+
+
+def check_bit_rows(g, rnd):
+    """Every row of `bit_rows`, read in a random order, holds exactly the
+    neighbours of `adj`; the view is kept on the graph."""
+    order = list(range(g.n))
+    rnd.shuffle(order)
+    for v in order:
+        assert g.bit_rows[v] == sum(1 << w for w in g.adj[v]), v
+    assert g.bit_rows is g.bit_rows and len(g.bit_rows) == g.n
+
+
+@pytest.mark.parametrize("block", [3, graph_module.ROW_BLOCK])
+def test_bit_rows_match_adj_on_corpus(block, monkeypatch):
+    # a block of 3 packs most graphs in several blocks of different widths
+    monkeypatch.setattr(graph_module, "ROW_BLOCK", block)
+    for g in fuzz_corpus() + [Graph(0, []), Graph(5, [(3, 4)]), cycle(130)]:
+        check_bit_rows(g, random.Random(g.n))
+
+
+@given(small_graphs(), st.integers(min_value=1, max_value=13), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_bit_rows_match_adj_on_random_graphs(g, block, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "ROW_BLOCK", block)
+        check_bit_rows(g, random.Random(seed))
+
+
+def test_bit_rows_pack_only_the_blocks_read():
+    g = cycle(3 * graph_module.ROW_BLOCK)
+    assert g.bit_rows[1] == 0b101
+    assert sorted(g.bit_rows) == list(range(graph_module.ROW_BLOCK))

@@ -102,14 +102,16 @@ def test_verify_hom_revalidates():
 
 def merge_by_relabelling(g, keep, drop):
     """The merge as it was built before the row constructor: every edge
-    relabelled, re-canonicalised and validated by `Graph`."""
+    relabelled, re-canonicalised and validated by `Graph`; with the label
+    of every vertex."""
 
     def relabel(v):
         if v == drop:
             v = keep
         return v - 1 if v > drop else v
 
-    return Graph(g.n - 1, {canon_edge(relabel(u), relabel(v)) for u, v in g.edges})
+    edges = {canon_edge(relabel(u), relabel(v)) for u, v in g.edges}
+    return Graph(g.n - 1, edges), [relabel(v) for v in range(g.n)]
 
 
 def check_merges(g):
@@ -117,10 +119,13 @@ def check_merges(g):
         for drop in range(g.n):
             if keep == drop or g.has_edge(keep, drop):
                 continue
-            got, want = _merge(g, keep, drop), merge_by_relabelling(g, keep, drop)
+            (got, label), (want, want_label) = _merge(g, keep, drop), merge_by_relabelling(
+                g, keep, drop
+            )
             assert (got.n, got.edges, got.sorted_adj, got.adj) == (
                 want.n, want.edges, want.sorted_adj, want.adj
             )
+            assert label.tolist() == want_label
 
 
 MERGE_CORPUS = fuzz_corpus() + [path(5), Graph(6, [(0, 1), (3, 4)])]

@@ -12,6 +12,7 @@ NO after 0 expansions when the graph has no closed odd walk that short
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from oddwalk.borsuk import sample_approximation
 from oddwalk.coloring import _cycle_through_edge, c4_chain
 from oddwalk.graph import (
     NO,
+    YES,
     Graph,
     canon_edge,
     degeneracy_order,
@@ -202,6 +204,55 @@ def test_cycle_check_above_the_vertex_cap_is_the_dfs(monkeypatch):
                 assert (got.status, got.witness, got.expansions) == want
 
 
+def bipartite_with_triangle(half, degree, seed):
+    """A random bipartite graph on 2 * half vertices, about `degree` edges
+    per vertex on each side, with a triangle hung on vertex 0.  Every odd
+    closed walk goes round the triangle, so for odd k the exact check
+    cannot answer and the DFS runs, to exhaustion when there is no
+    k-cycle."""
+    rnd = random.Random(seed)
+    edges = {(rnd.randrange(half), half + rnd.randrange(half)) for _ in range(degree * half)}
+    a, b = 2 * half, 2 * half + 1
+    return Graph(2 * half + 2, sorted(edges | {(0, a), (a, b), (0, b)}))
+
+
+@pytest.mark.parametrize(
+    "half, degree, seed", [(6, 2, 1), (10, 3, 2), (15, 3, 3), (20, 4, 4), (40, 4, 5)]
+)
+def test_cycle_check_matches_reference_when_the_dfs_runs_to_exhaustion(half, degree, seed):
+    g = bipartite_with_triangle(half, degree, seed)
+    for k in (5, 7):
+        want = ref.has_cycle_of_length(g, k)
+        got = has_cycle_of_length(g, k)
+        assert (got.status, got.witness, got.expansions) == (
+            want.status, want.witness, want.expansions
+        )
+        assert got.status == NO and got.expansions > 0
+        for budget in (1, 2, got.expansions // 3, got.expansions - 1, got.expansions):
+            got = has_cycle_of_length(g, k, budget=budget)
+            want = ref.has_cycle_of_length(g, k, budget=budget)
+            assert (got.status, got.witness, got.expansions) == (
+                want.status, want.witness, want.expansions
+            )
+
+
+def test_cycle_check_on_a_long_path_packs_only_the_rows_it_reaches():
+    # above ODD_WALK_CHECK_MAX_VERTICES the exact check is skipped, and the
+    # DFS from vertex 0 reads a few rows: no n * n / 8 bytes of bit rows
+    n = 200_000
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)] + [(0, 4)])
+    tracemalloc.start()
+    try:
+        got = has_cycle_of_length(g, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = ref.has_cycle_of_length(g, 5)
+    assert (got.status, got.witness) == (YES, [0, 1, 2, 3, 4, 0])
+    assert (got.status, got.witness, got.expansions) == (want.status, want.witness, want.expansions)
+    assert peak < n * n / 8 / 20, peak
+
+
 def full_distances(g, end):
     """Graph distances to `end`, infinite for every vertex it cannot reach."""
     d = depths(bfs([end], g.sorted_neighbors))
@@ -220,10 +271,10 @@ def check_path_dfs(g, rnd):
     """`simple_path_dfs` against the walk-every-vertex reference: steps 1-6,
     each of lowest (above 0), blocked and dist on or off, unlimited and
     finite budgets.  The reference runs at the budget it spends, one below
-    and two random ones.  Without dist, where the last two layers are
-    counted in bulk, every budget from 1 to spent + 1 is checked when the
-    search spends at most 500 expansions, and 50 random ones otherwise, so
-    budgets land inside the counted blocks."""
+    and two random ones.  The last two layers are counted in bulk, so
+    every budget from 1 to spent + 1 is checked when the search spends at
+    most 500 expansions, and 50 random ones otherwise, so budgets land
+    inside the counted blocks."""
     if g.n == 0:
         return
     for steps in range(1, 7):
@@ -242,8 +293,6 @@ def check_path_dfs(g, rnd):
                 got = simple_path_dfs(g, start, steps, end, budget=budget, **kwargs)
                 assert got == ref.simple_path_dfs(g, start, steps, end, budget=budget, **kwargs)
                 assert got == expected_under_budget(want, budget)
-            if use_dist:
-                continue
             if spent <= 500:
                 budgets = range(1, spent + 2)
             else:

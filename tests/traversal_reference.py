@@ -11,7 +11,8 @@ n-pass odd-girth search that the depth cut-off replaced, and
 before its search ran on vertex tuples.  `degeneracy_order` is the
 minimum scan over every remaining vertex that the bucket queue replaced.
 `simple_path_dfs` is the budgeted path search that entered every vertex
-of its last layers one by one, before they were counted in bulk, and
+one by one, the last two layers included, before those layers were
+counted from the graph's bit rows (with and without distances), and
 `ranked_pairs` the fold search's candidate ranking before it became one
 array sort.
 """
