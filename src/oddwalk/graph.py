@@ -82,21 +82,28 @@ class BitRows(dict):
 
     Rows are packed by `pack_rows` in blocks of ROW_BLOCK vertices, a block
     on the first read of any of its rows, so a search that reaches few
-    vertices of a large graph packs few rows."""
+    vertices of a large graph packs few rows.  The same pass fills
+    `degree_sums`: v -> the sum of the degrees of v's neighbours."""
 
-    __slots__ = ("indptr", "indices")
+    __slots__ = ("indptr", "indices", "degree_sums")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         super().__init__()
         self.indptr, self.indices = indptr, indices
+        self.degree_sums: dict[int, int] = {}
 
     def __missing__(self, v: int) -> int:
+        indptr = self.indptr
         lo = v - v % ROW_BLOCK
-        hi = min(lo + ROW_BLOCK, len(self.indptr) - 1)
-        words = pack_rows(self.indptr, self.indices, lo, hi)
+        hi = min(lo + ROW_BLOCK, len(indptr) - 1)
+        words = pack_rows(indptr, self.indices, lo, hi)
         raw, size = words.astype("<u8", copy=False).tobytes(), 8 * words.shape[1]
         chunks = [raw[at : at + size] for at in range(0, len(raw), size)]
         self.update(zip(range(lo, hi), map(int.from_bytes, chunks, repeat("little"))))
+        cols = self.indices[indptr[lo] : indptr[hi]]
+        tails = np.repeat(np.arange(hi - lo), np.diff(indptr[lo : hi + 1]))
+        sums = np.bincount(tails, weights=indptr[cols + 1] - indptr[cols], minlength=hi - lo)
+        self.degree_sums.update(zip(range(lo, hi), sums.astype(np.int64).tolist()))
         return self[v]
 
 

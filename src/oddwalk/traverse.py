@@ -124,9 +124,10 @@ def simple_path_dfs(
       d(w) = |N(w) & A1 & {>= lowest}| the count is, in closed form,
           |C| + sum_{w in C} d(w) - sum_{p} |N(p) & C|,
       p running over the path and blocked vertices in A1 & {>= lowest}.
-      The middle sum is the sum of d over N(u) & A2 & {>= lowest},
-      computed once per u, less d(p) for each such p that is taken, so the
-      count takes O(|path|) word operations.
+      The middle sum is the sum of d over N(u) & A2 & {>= lowest}, less
+      d(p) for each such p that is taken, so the count takes O(|path|)
+      word operations.  That sum is computed once per u, or, without
+      `dist` and with `lowest` 0, read from `g.bit_rows.degree_sums`.
     A count that passes the budget ends the search where the walk would
     have, at floor(budget) + 1 expansions.  Set-up takes O(deg(end)) row
     operations.
@@ -154,7 +155,8 @@ def simple_path_dfs(
         for x in _members(rows[end]):
             nearer |= rows[x]
     counted = near & high  # d(w) = |N(w) & counted|
-    degree_sums: dict[int, int] = {}
+    # when every vertex counts, d(w) is w's degree and the sums come with the rows
+    degree_sums = rows.degree_sums if counted == nearer == -1 else {}
 
     def last(v: int, goal: int) -> tuple[int, Optional[list]]:
         candidates = rows[v] & free & near

@@ -363,12 +363,14 @@ def test_graph_views_are_built_on_first_use():
 
 def check_bit_rows(g, rnd):
     """Every row of `bit_rows`, read in a random order, holds exactly the
-    neighbours of `adj`; the view is kept on the graph."""
+    neighbours of `adj`, and its degree sum the sum of their degrees; the
+    view is kept on the graph."""
     order = list(range(g.n))
     rnd.shuffle(order)
     for v in order:
         assert g.bit_rows[v] == sum(1 << w for w in g.adj[v]), v
-    assert g.bit_rows is g.bit_rows and len(g.bit_rows) == g.n
+        assert g.bit_rows.degree_sums[v] == sum(len(g.adj[w]) for w in g.adj[v]), v
+    assert g.bit_rows is g.bit_rows and len(g.bit_rows) == len(g.bit_rows.degree_sums) == g.n
 
 
 @pytest.mark.parametrize("block", [3, graph_module.ROW_BLOCK])
