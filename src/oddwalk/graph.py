@@ -433,23 +433,55 @@ def has_cycle_of_length(g: Graph, k: int, budget: int = 10**7) -> CycleSearch:
     The search is an exhaustive DFS anchored at the smallest cycle vertex,
     pruned by BFS distance back to the anchor.  `budget` caps node
     expansions; exceeding it yields UNKNOWN rather than a wrong NO.
+
+    Above ODD_WALK_CHECK_MAX_VERTICES vertices, where g's bit rows (as wide
+    as its largest vertex id) could add up to n * n / 16 bytes over the
+    starts, the DFS from s runs on a renamed copy (`_induced`) of the part
+    of g it can enter: s's ROW_BLOCK block, shared by the block's starts,
+    when that holds every vertex above s within k // 2 of s, else s and
+    just those vertices.
     """
     if k < 3:
         raise InputError("cycle length must be at least 3")
     if k % 2 and g.n <= ODD_WALK_CHECK_MAX_VERTICES and odd_walk_free(g.indptr, g.indices, k):
         return CycleSearch(NO, None, 0)
     expansions = 0
+    h, rank, block = g, None, None  # the graph searched, g's vertex -> h's, h's block
     for s in range(g.n):
         dist = depths(bfs([s], g.sorted_neighbors))
+        if g.n > ODD_WALK_CHECK_MAX_VERTICES:
+            # all that the DFS from s can enter besides s: a path vertex i
+            # steps from s must get back to s in k - i
+            ball = [v for v, d in dist.items() if v > s and d <= k // 2]
+            lo = s - s % ROW_BLOCK
+            if max(ball, default=s) >= lo + ROW_BLOCK:
+                (h, rank), block = _induced(g, [s] + sorted(ball)), None
+            elif block != lo:
+                (h, rank), block = _induced(g, range(lo, min(lo + ROW_BLOCK, g.n))), lo
+            dist = {rank[v]: d for v, d in dist.items() if v in rank}
+        start = s if rank is None else rank[s]
         status, path, used = simple_path_dfs(
-            g, s, k - 1, s, budget=budget - expansions, lowest=s + 1, dist=dist
+            h, start, k - 1, start, budget=budget - expansions, lowest=start + 1, dist=dist
         )
         expansions += used
         if status == YES:
-            return CycleSearch(YES, path + [s], expansions)
+            names = range(g.n) if rank is None else list(rank)
+            return CycleSearch(YES, [names[v] for v in path] + [s], expansions)
         if status == UNKNOWN:
             return CycleSearch(UNKNOWN, None, expansions)
     return CycleSearch(NO, None, expansions)
+
+
+def _induced(g: Graph, names: Sequence[int]) -> tuple[Graph, dict[int, int]]:
+    """The subgraph on the ascending vertices `names`, names[i] renamed i,
+    and the renaming, which keeps the order of every row, so a search on
+    the copy takes the steps it takes on g."""
+    rank = dict(zip(names, range(len(names))))
+    indptr, indices = [0], []
+    for v in names:
+        indices += [rank[w] for w in g.sorted_adj[v] if w in rank]
+        indptr.append(len(indices))
+    return Graph.from_sorted_unique(len(rank), indptr, indices), rank
 
 
 def odd_walk_free(indptr: np.ndarray, indices: np.ndarray, length: int) -> bool:

@@ -117,11 +117,12 @@ def simple_path_dfs(
       candidates up to and including the hit, or all of them.
     - Two left after u: each w in C = N(u) & free & A2 costs one expansion
       and then its own last layer.  When some w in C has a neighbour in
-      N(end) & free, or C is no larger than the path, u is counted w by w,
-      up to the hit if there is one.  Only the members of C & reach, where
-      reach is the union of the rows of the closing vertices, are tested
-      for such a neighbour.  Otherwise no path closes below u, and with
-      d(w) = |N(w) & A1 & {>= lowest}| the count is, in closed form,
+      N(end) & free (only C & reach is tested, reach the union of the rows
+      of the closing vertices), u is counted w by w up to the hit.  So is
+      a C no larger than the path: its |C| last-layer counts cost no more
+      than the closed form's pass over the path.  Otherwise no path
+      closes below u, and with d(w) = |N(w) & A1 & {>= lowest}| the count
+      is, in closed form,
           |C| + sum_{w in C} d(w) - sum_{p} |N(p) & C|,
       p running over the path and blocked vertices in A1 & {>= lowest}.
       The middle sum is the sum of d over N(u) & A2 & {>= lowest}, less
@@ -173,6 +174,7 @@ def simple_path_dfs(
             return last(u, goal)
         block = rows[u] & free & nearer
         probe = block & reach
+        # a small block is cheaper to walk than to count in closed form
         if block.bit_count() <= len(path) or probe and any(
             rows[w] & goal for w in _members(probe)
         ):

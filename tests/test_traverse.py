@@ -192,16 +192,20 @@ def test_cycle_check_keeps_every_dfs_verdict_on_random_graphs(g):
 
 def test_cycle_check_above_the_vertex_cap_is_the_dfs(monkeypatch):
     monkeypatch.setattr(graph_module, "ODD_WALK_CHECK_MAX_VERTICES", 4)
-    for g in CORPUS:
-        for k in range(3, min(g.n, 7) + 1):
-            for budget in BUDGETS:
-                got = has_cycle_of_length(g, k, budget=budget)
-                want = ref.has_cycle_of_length(g, k, budget=budget)
-                if g.n > 4:
-                    want = (want.status, want.witness, want.expansions)
-                else:
-                    want = expected_cycle_search(g, k, budget)
-                assert (got.status, got.witness, got.expansions) == want
+    # with 3-vertex blocks most searches leave their start's block, so the
+    # DFS runs on copies of both kinds
+    for block in (3, graph_module.ROW_BLOCK):
+        monkeypatch.setattr(graph_module, "ROW_BLOCK", block)
+        for g in CORPUS + [bipartite_with_triangle(10, 3, 2)]:
+            for k in range(3, min(g.n, 7) + 1):
+                for budget in BUDGETS:
+                    got = has_cycle_of_length(g, k, budget=budget)
+                    want = ref.has_cycle_of_length(g, k, budget=budget)
+                    if g.n > 4:
+                        want = (want.status, want.witness, want.expansions)
+                    else:
+                        want = expected_cycle_search(g, k, budget)
+                    assert (got.status, got.witness, got.expansions) == want
 
 
 def bipartite_with_triangle(half, degree, seed):
@@ -238,7 +242,8 @@ def test_cycle_check_matches_reference_when_the_dfs_runs_to_exhaustion(half, deg
 
 def test_cycle_check_on_a_long_path_packs_only_the_rows_it_reaches():
     # above ODD_WALK_CHECK_MAX_VERTICES the exact check is skipped, and the
-    # DFS from vertex 0 reads a few rows: no n * n / 8 bytes of bit rows
+    # DFS from vertex 0 reads the rows of a copy of its block: no n * n / 8
+    # bytes of bit rows
     n = 200_000
     g = Graph(n, [(v, v + 1) for v in range(n - 1)] + [(0, 4)])
     tracemalloc.start()
@@ -250,6 +255,31 @@ def test_cycle_check_on_a_long_path_packs_only_the_rows_it_reaches():
     want = ref.has_cycle_of_length(g, 5)
     assert (got.status, got.witness) == (YES, [0, 1, 2, 3, 4, 0])
     assert (got.status, got.witness, got.expansions) == (want.status, want.witness, want.expansions)
+    assert peak < n * n / 8 / 20, peak
+
+
+@pytest.mark.parametrize("spread", [False, True], ids=["adjacent", "spread"])
+def test_cycle_check_above_the_vertex_cap_keeps_memory_linear(spread):
+    # 5,600 disjoint triangles: no 5-cycle, so the DFS runs from every start.
+    # Bit rows as wide as the vertex ids, kept for every start, would add up
+    # to about n * n / 16 bytes; the searches run on copies of a block or
+    # less.  With spread labels every triangle's vertices lie in different
+    # 1,024-vertex blocks, so each start gets a copy of its own triangle.
+    t = 5600
+    n = 3 * t
+    step = t if spread else 1
+    triangles = [(a, a + step, a + 2 * step) for a in (range(t) if spread else range(0, n, 3))]
+    g = Graph(n, [e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))])
+    assert n > graph_module.ODD_WALK_CHECK_MAX_VERTICES
+    g.sorted_adj, g.adj  # the graph's own views, not the search's memory
+    tracemalloc.start()
+    try:
+        got = has_cycle_of_length(g, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per triangle a < b < c: 5 expansions from a, 2 from b, 1 from c
+    assert (got.status, got.expansions) == (NO, 8 * t)
     assert peak < n * n / 8 / 20, peak
 
 
