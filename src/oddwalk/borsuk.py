@@ -166,20 +166,39 @@ class ApproxGraph:
 
     @classmethod
     def from_sample(cls, sample: SphereSample, epsilon: float) -> "ApproxGraph":
-        """Threshold each Gram block and keep its nonzero entries as CSR
-        rows: `np.nonzero` lists them row by row in ascending columns."""
+        """Threshold the Gram matrix of the draws (the even points) only.
+
+        Vertex 2t + 1 is the exact negation of vertex 2t, and rounding to
+        nearest commutes with negation, so the Gram entry of 2s ^ a and
+        2t ^ b is (-1)^(a+b) G[s, t] bit for bit, where G is the draws'
+        Gram matrix.  Row 2s holds 2t when G[s, t] < threshold and 2t + 1
+        when -G[s, t] < threshold; t = s is dropped (the vertex itself
+        and its antipodal self-pairing).  `np.nonzero` lists those entries
+        row by row in ascending columns.  Row 2s + 1 is row 2s with every
+        column xor 1, except that a pair 2t, 2t + 1 held by both rows
+        (only for epsilon > pi/2) keeps its order.
+        """
         if not (0.0 < epsilon < math.pi):
             raise InputError("threshold must lie in (0, pi)")
         threshold = -math.cos(epsilon)
         m = sample.size()
         degrees, heads = [], []
-        for start, gram in _gram_blocks(sample.points):
-            near = gram < threshold
-            local = np.arange(len(near))
-            near[local, (local + start) ^ 1] = False  # the antipodal self-pairing
-            rows, cols = np.nonzero(near)
-            degrees.append(np.bincount(rows, minlength=len(near)))
-            heads.append(cols)
+        for start, gram in _gram_blocks(np.ascontiguousarray(sample.points[0::2])):
+            local = np.arange(len(gram))
+            near = np.stack([gram < threshold, gram > -threshold], axis=2)
+            near[local, local + start] = False
+            rows, cols = np.nonzero(near.reshape(len(gram), -1))
+            degree = np.bincount(rows, minlength=len(gram))
+            mirror = cols ^ 1
+            if threshold > 0:
+                mirror[near.all(axis=2)[rows, cols >> 1]] ^= 1
+            # row s's entries go to rows 2s and 2s + 1 of the block
+            at = np.arange(len(cols)) + (np.cumsum(degree) - degree)[rows]
+            block = np.empty(2 * len(cols), dtype=np.int64)
+            block[at] = cols
+            block[at + degree[rows]] = mirror
+            degrees.append(np.repeat(degree, 2))
+            heads.append(block)
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.concatenate(degrees), out=indptr[1:])
         return cls(sample, epsilon, Graph.from_sorted_unique(m, indptr, np.concatenate(heads)))
@@ -347,7 +366,8 @@ def bracket_walk(g: ApproxGraph, ids: Sequence[int]) -> Walk:
 def odd_girth_at_least(g: ApproxGraph, bound: int) -> bool:
     """Exact check that no odd cycle shorter than `bound` exists; holds
     for every bound, odd or even.  Runs `odd_walk_free` on the graph's CSR
-    arrays, so no view of the graph is built."""
+    arrays, so no view of the graph is built; u -> u ^ 1 is an
+    automorphism of every sample graph, so the check ORs only even rows."""
     if bound < 3:
         return True
     longest = bound - 2 if bound % 2 else bound - 1

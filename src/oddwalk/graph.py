@@ -500,25 +500,49 @@ def odd_walk_free(indptr: np.ndarray, indices: np.ndarray, length: int) -> bool:
     w >= u and ANDs it with S_k[u].  The check is exact integer work with
     no bound on the vertex count; it takes n * n / 8 bytes per bit matrix
     (Itai & Rodeh, SIAM J. Comput. 1978, for odd girth by reachability).
+
+    When u -> u ^ 1 is an automorphism (`mirrored`, as on every sphere
+    sample), S_j[u ^ 1] is S_j[u] with bits 2t and 2t + 1 swapped, so each
+    round ORs only the even rows and mirrors them into the odd ones, and
+    the edge test takes the even u only: the dart (u, w) meets in the same
+    way as (u ^ 1, w ^ 1), and each such pair of darts has exactly one
+    with u even and w >= u.
     """
     n = len(indptr) - 1
     if length == 1:
         return not np.any(indices == csr_rows(indptr))
     words = pack_rows(indptr, indices)
-    ends = indptr[1:]
+    rows = slice(0, n, 2) if mirrored(words) else slice(0, n)
+    starts, ends = indptr[:-1][rows], indptr[1:][rows]
     for _ in range(length // 2 - 1):
-        words = _or_of_rows(words, indptr[:-1], ends, indices)
+        words[rows] = _or_of_rows(words, starts, ends, indices)
+        if rows.step == 2:
+            words[1::2] = _swap_pairs(words[0::2])
     tails = csr_rows(indptr)
-    above = indptr[:-1] + np.bincount(tails[indices < tails], minlength=n)
-    return not np.bitwise_and(words, _or_of_rows(words, above, ends, indices)).any()
+    above = (indptr[:-1] + np.bincount(tails[indices < tails], minlength=n))[rows]
+    return not np.bitwise_and(words[rows], _or_of_rows(words, above, ends, indices)).any()
+
+
+def _swap_pairs(words: np.ndarray) -> np.ndarray:
+    """Bit rows with bits 2t and 2t + 1 swapped, the vertex map t -> t ^ 1;
+    a pair never straddles two 64-bit words."""
+    even, one = np.uint64(0x5555555555555555), np.uint64(1)
+    return ((words >> one) & even) | ((words & even) << one)
+
+
+def mirrored(words: np.ndarray) -> bool:
+    """True iff u -> u ^ 1 is an automorphism of the graph whose bit rows
+    (`pack_rows`) are `words`: the vertex count is even and each odd row
+    is the row before it with bits 2t and 2t + 1 swapped."""
+    return len(words) % 2 == 0 and np.array_equal(words[1::2], _swap_pairs(words[0::2]))
 
 
 def _or_of_rows(words: np.ndarray, starts, ends, indices: np.ndarray) -> np.ndarray:
-    """Row u of the result is the OR of the rows of `words` listed in
-    indices[starts[u]:ends[u]] (all zero for an empty slice)."""
-    out = np.empty_like(words)
-    for u, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
-        np.bitwise_or.reduce(words[indices[a:b]], axis=0, out=out[u])
+    """Row i of the result is the OR of the rows of `words` listed in
+    indices[starts[i]:ends[i]] (all zero for an empty slice)."""
+    out = np.empty((len(starts), words.shape[1]), dtype=words.dtype)
+    for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        np.bitwise_or.reduce(words[indices[a:b]], axis=0, out=out[i])
     return out
 
 

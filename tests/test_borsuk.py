@@ -1,9 +1,11 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import borsuk_reference as ref
 from graphs import (
@@ -30,7 +32,16 @@ from oddwalk.borsuk import (
     tetrahedral_hom,
 )
 from oddwalk.errors import ConstructionError, InputError, SearchFailure
-from oddwalk.graph import INFINITE, Graph, odd_girth, odd_walk_free
+from oddwalk import graph as graph_module
+from oddwalk.graph import (
+    INFINITE,
+    Graph,
+    has_cycle_of_length,
+    mirrored,
+    odd_girth,
+    odd_walk_free,
+    pack_rows,
+)
 from oddwalk.rng import Stream, derive_seed
 
 EPS5 = math.pi / 5
@@ -136,13 +147,28 @@ def test_matrix_check_agrees_with_exact_odd_girth():
             assert odd_girth_at_least(g, bound) == (girth == INFINITE or girth >= bound)
 
 
-@pytest.mark.parametrize("eps", [EPS5, math.pi / 3])
+# above pi/2 a row can hold both 2t and 2t + 1; near pi the threshold
+# rounds to 1.0, above the diagonal Gram entries of some draws
+@pytest.mark.parametrize("eps", [EPS5, math.pi / 3, 1.6, 2.0, 3.0, math.pi - 1e-9])
 @pytest.mark.parametrize("count", [1, 2, 50, 150])
 def test_row_built_sample_graph_matches_validated_build(count, eps):
-    g = sample_approximation(2, eps, count, 40 + count).graph
+    sample = sample_approximation(2, eps, count, 40 + count)
+    g = sample.graph
     want = Graph(g.n, g.edges)  # the validating constructor
     assert (g.n, g.edges, g.sorted_adj, g.adj) == (want.n, want.edges, want.sorted_adj, want.adj)
     assert not any(g.has_edge(i, i ^ 1) for i in range(g.n))
+    assert g == ref.row_built_sample_graph(sample.sample, eps)
+
+
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.floats(min_value=0.0, max_value=math.pi, exclude_min=True, exclude_max=True),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_sample_graph_matches_row_built_reference(count, eps, seed):
+    g = sample_approximation(2, eps, count, seed)
+    assert g.graph == ref.row_built_sample_graph(g.sample, eps)
 
 
 def test_adjacency_matrix_matches_edges():
@@ -255,6 +281,72 @@ def test_odd_walk_kernel_matches_reference_on_random_graphs(g):
     girth = odd_girth(g)
     for length in ODD_LENGTHS:
         assert odd_walk_free(g.indptr, g.indices, length) == (girth == INFINITE or girth > length)
+
+
+@st.composite
+def signed_covers(draw):
+    """The signed double cover of a small graph: a + edge ab lifts to 2a 2b
+    and 2a+1 2b+1, a - edge to 2a 2b+1 and 2a+1 2b, so u -> u ^ 1 is an
+    automorphism of the cover."""
+    h = draw(small_graphs())
+    signs = draw(st.lists(st.booleans(), min_size=h.num_edges(), max_size=h.num_edges()))
+    edges = []
+    for (a, b), plus in zip(h.edges, signs):
+        flip = 0 if plus else 1
+        edges += [(2 * a, 2 * b + flip), (2 * a + 1, 2 * b + 1 - flip)]
+    return Graph(2 * h.n, edges)
+
+
+def or_rows_seen(check, *args):
+    """check(*args) and the row count of every call it makes to
+    odd_walk_free's _or_of_rows."""
+    with mock.patch.object(graph_module, "_or_of_rows", wraps=graph_module._or_of_rows) as spy:
+        result = check(*args)
+    return result, {len(call.args[1]) for call in spy.call_args_list}
+
+
+def edge_set_mirrored(g):
+    edges = set(g.edges)
+    return g.n % 2 == 0 and all(tuple(sorted((u ^ 1, w ^ 1))) in edges for u, w in edges)
+
+
+def with_edge_breaking_the_mirror(g):
+    """g plus its first missing edge uw whose mirror (u ^ 1)(w ^ 1) is also
+    missing, or None when there is none."""
+    for u in range(g.n):
+        for w in range(u + 1, g.n):
+            if not g.has_edge(u, w) and not g.has_edge(u ^ 1, w ^ 1) and w != u ^ 1:
+                return Graph(g.n, list(g.edges) + [(u, w)])
+    return None
+
+
+@given(signed_covers())
+@settings(max_examples=150, deadline=None)
+def test_odd_walk_kernel_on_signed_double_covers(cover):
+    # the cover takes the mirrored path (n/2 rows); one more edge breaks
+    # the symmetry and sends it down the full one (n rows)
+    perturbed = with_edge_breaking_the_mirror(cover)
+    cases = [(cover, cover.n // 2)] + ([] if perturbed is None else [(perturbed, perturbed.n)])
+    for g, rows in cases:
+        assert mirrored(pack_rows(g.indptr, g.indices)) == edge_set_mirrored(g) == (g is cover)
+        girth = odd_girth(g)
+        for length in ODD_LENGTHS:
+            verdict, seen = or_rows_seen(odd_walk_free, g.indptr, g.indices, length)
+            assert verdict == ref.dense_odd_walk_free(dense(g), length)
+            assert verdict == (girth == INFINITE or girth > length)
+            assert seen == (set() if length == 1 else {rows})
+
+
+def test_sample_girth_checks_take_the_mirrored_rows():
+    sample = sample_approximation(2, EPS5, 100, 3)
+    g = sample.graph
+    half = {g.n // 2}
+    assert or_rows_seen(odd_walk_free, g.indptr, g.indices, 5) == (True, half)
+    assert or_rows_seen(odd_girth_at_least, sample, 7) == (True, half)
+    assert or_rows_seen(lambda: has_cycle_of_length(g, 5).status) == ("NO", half)
+    perturbed = with_edge_breaking_the_mirror(g)
+    assert not mirrored(pack_rows(perturbed.indptr, perturbed.indices))
+    assert or_rows_seen(odd_walk_free, perturbed.indptr, perturbed.indices, 5)[1] == {g.n}
 
 
 def test_sample_dump_round_trip():

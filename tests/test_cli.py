@@ -100,6 +100,14 @@ def test_gen_borsuk_deterministic_files(tmp_path, capsys):
     assert g.n == 120
 
 
+def test_gen_borsuk_symmetry_above_half_pi(capsys):
+    # above pi/2 a row holds pairs 2t, 2t + 1, which mirror onto themselves
+    code, report = run_cli(["gen-borsuk", "--n", "2", "--epsilon", "2.0", "--N", "150", "--seed", "1"])
+    capsys.readouterr()
+    assert code == 0
+    assert report["verification"]["antipodal_edge_symmetry"] is True
+
+
 def test_homotopy_command_with_witness(tmp_path, capsys):
     from graphs import example7
 

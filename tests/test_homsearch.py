@@ -14,6 +14,7 @@ from oddwalk.homsearch import (
     FOUND,
     NONE,
     TIMEOUT,
+    _check_quotient_map,
     _merge,
     fold_search,
     hom_exists,
@@ -189,6 +190,32 @@ def test_fold_quotients_are_homomorphic_images():
         GraphHom(g, trace.final_graph, trace.mapping)
         assert trace.final_graph.n <= g.n
         done += 1
+
+
+def hom_error(g, quotient, mapping, check):
+    try:
+        check(g, quotient, mapping)
+    except InputError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("index", range(len(fuzz_corpus()) + 2))
+def test_quotient_map_check_matches_graph_hom_on_corrupted_maps(index):
+    # every one-vertex corruption of a fold's map: the same verdict, and the
+    # same message naming the first failing edge in g.edges order
+    g = (fuzz_corpus() + [cycle(7), cycle(9)])[index]
+    trace = fold_search(g, {2 * g.n + 1}, beam=2, budget=10**4, seed=index)
+    q = trace.final_graph
+    assert hom_error(g, q, trace.mapping, _check_quotient_map) is None
+    failures = 0
+    for v in range(g.n):
+        for x in range(q.n):
+            mapping = trace.mapping[:v] + (x,) + trace.mapping[v + 1 :]
+            want = hom_error(g, q, mapping, GraphHom)
+            assert hom_error(g, q, mapping, _check_quotient_map) == want
+            failures += want is not None
+    assert failures > 0
 
 
 def test_fold_accepts_a_1000_vertex_sample_with_a_small_budget():
