@@ -187,11 +187,11 @@ class ApproxGraph:
             local = np.arange(len(gram))
             near = np.stack([gram < threshold, gram > -threshold], axis=2)
             near[local, local + start] = False
-            rows, cols = np.nonzero(near.reshape(len(gram), -1))
+            held = near.reshape(len(gram), -1)
+            rows, cols = np.nonzero(held)
             degree = np.bincount(rows, minlength=len(gram))
             mirror = cols ^ 1
-            if threshold > 0:
-                mirror[near.all(axis=2)[rows, cols >> 1]] ^= 1
+            mirror[held[rows, mirror]] ^= 1  # a pair held by both rows keeps its order
             # row s's entries go to rows 2s and 2s + 1 of the block
             at = np.arange(len(cols)) + (np.cumsum(degree) - degree)[rows]
             block = np.empty(2 * len(cols), dtype=np.int64)

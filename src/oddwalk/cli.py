@@ -31,7 +31,7 @@ from .closure import (
 )
 from .coloring import bounded_coloring_pipeline
 from .errors import OddwalkError, ParseError, InputError
-from .graph import INFINITE, mirrored, odd_girth, pack_rows, parse_graph, serialize_graph
+from .graph import INFINITE, mirrored, odd_girth, parse_graph, serialize_graph
 from .homotopy import (
     are_homotopic,
     check_simply_connected,
@@ -114,7 +114,7 @@ def cmd_gen_borsuk(args) -> tuple[int, dict]:
     t0 = time.perf_counter()
     g = sample_approximation(args.n, eps, args.N, args.seed)
     elapsed = time.perf_counter() - t0
-    symmetric = mirrored(pack_rows(g.graph.indptr, g.graph.indices))
+    symmetric = mirrored(g.graph.indptr, g.graph.indices)
     if args.out:
         _write(args.out, serialize_graph(g.graph))
     if args.points:

@@ -40,11 +40,20 @@ class GraphHom:
         for x in self.mapping:
             if not (0 <= x < self.target.n):
                 raise InputError(f"image vertex {x} out of range")
-        for u, v in self.source.edges:
-            if not self.target.has_edge(self.mapping[u], self.mapping[v]):
-                raise InputError(
-                    f"edge ({u}, {v}) maps to non-edge ({self.mapping[u]}, {self.mapping[v]})"
-                )
+        # each edge's image key a * n' + b must be among the target's dart
+        # keys, ascending in the CSR rows; a last key n' * n' exceeds every
+        # image key, so every lookup lands on some key
+        size = max(self.target.n, 1)
+        darts = np.append(csr_rows(self.target.indptr) * size + self.target.indices, size * size)
+        label = np.asarray(self.mapping, dtype=np.int64)
+        us, vs = self.source.edge_ends()
+        keys = label[us] * size + label[vs]
+        missing = np.flatnonzero(darts[np.searchsorted(darts, keys)] != keys)
+        if len(missing):
+            u, v = int(us[missing[0]]), int(vs[missing[0]])
+            raise InputError(
+                f"edge ({u}, {v}) maps to non-edge ({self.mapping[u]}, {self.mapping[v]})"
+            )
 
     @classmethod
     def identity(cls, g: Graph) -> "GraphHom":

@@ -512,7 +512,7 @@ def odd_walk_free(indptr: np.ndarray, indices: np.ndarray, length: int) -> bool:
     if length == 1:
         return not np.any(indices == csr_rows(indptr))
     words = pack_rows(indptr, indices)
-    rows = slice(0, n, 2) if mirrored(words) else slice(0, n)
+    rows = slice(0, n, 2) if mirrored(indptr, indices) else slice(0, n)
     starts, ends = indptr[:-1][rows], indptr[1:][rows]
     for _ in range(length // 2 - 1):
         words[rows] = _or_of_rows(words, starts, ends, indices)
@@ -530,11 +530,20 @@ def _swap_pairs(words: np.ndarray) -> np.ndarray:
     return ((words >> one) & even) | ((words & even) << one)
 
 
-def mirrored(words: np.ndarray) -> bool:
-    """True iff u -> u ^ 1 is an automorphism of the graph whose bit rows
-    (`pack_rows`) are `words`: the vertex count is even and each odd row
-    is the row before it with bits 2t and 2t + 1 swapped."""
-    return len(words) % 2 == 0 and np.array_equal(words[1::2], _swap_pairs(words[0::2]))
+def mirrored(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """True iff u -> u ^ 1 is an automorphism of the graph with ascending
+    CSR rows (indptr, indices): the vertex count is even and the darts
+    (u ^ 1, w ^ 1), sorted, are the darts (u, w).  O(m) memory.  A mirrored
+    row is an ascending run unless it holds both 2t and 2t + 1 (on a sample
+    only for eps > pi/2), and the stable merge sort takes runs in linear
+    time."""
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    if n % 2 or not np.array_equal(degree[0::2], degree[1::2]):
+        return False
+    tails = csr_rows(indptr)
+    mirror = np.sort((tails ^ 1) * n + (indices ^ 1), kind="stable")
+    return np.array_equal(mirror, tails * n + indices)
 
 
 def _or_of_rows(words: np.ndarray, starts, ends, indices: np.ndarray) -> np.ndarray:

@@ -260,24 +260,5 @@ def fold_search(
         if level and level[0][0].n < best[0].n:
             best = level[0]
     graph, mapping, steps = best
-    _check_quotient_map(g, graph, mapping)
+    GraphHom(g, graph, mapping)  # raises unless the quotient map is a homomorphism
     return FoldTrace(steps, graph, mapping)
-
-
-def _check_quotient_map(g: Graph, quotient: Graph, mapping: tuple[int, ...]) -> None:
-    """Raise `GraphHom`'s InputError, naming the first edge of g (in
-    `g.edges` order) that `mapping` sends to a non-edge of `quotient`.
-
-    Each edge's image key a * n' + b must be among the quotient's dart
-    keys, which the CSR rows list in ascending order; a last key n' * n'
-    exceeds every image key, so every lookup lands on some key.
-    """
-    label = np.asarray(mapping, dtype=np.int64)
-    size = max(quotient.n, 1)
-    darts = np.append(csr_rows(quotient.indptr) * size + quotient.indices, size * size)
-    us, ws = g.edge_ends()
-    keys = label[us] * size + label[ws]
-    missing = np.flatnonzero(darts[np.searchsorted(darts, keys)] != keys)
-    if len(missing):
-        u, w = int(us[missing[0]]), int(ws[missing[0]])
-        raise InputError(f"edge ({u}, {w}) maps to non-edge ({mapping[u]}, {mapping[w]})")

@@ -87,3 +87,12 @@ def c4_bundles(h):
             if len(common) >= 2:
                 bundles.append((u, w, common))
     return bundles
+
+
+def non_edge_message(source, target, mapping):
+    """GraphHom's edge check as a loop over `source.edges`: the message
+    naming the first edge that `mapping` sends to a non-edge, or None."""
+    for u, v in source.edges:
+        if not target.has_edge(mapping[u], mapping[v]):
+            return f"edge ({u}, {v}) maps to non-edge ({mapping[u]}, {mapping[v]})"
+    return None

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from unittest import mock
@@ -40,7 +41,6 @@ from oddwalk.graph import (
     mirrored,
     odd_girth,
     odd_walk_free,
-    pack_rows,
 )
 from oddwalk.rng import Stream, derive_seed
 
@@ -320,15 +320,30 @@ def with_edge_breaking_the_mirror(g):
     return None
 
 
+def with_two_edges_switched(g):
+    """g with its first pair of edges ux, vy switched to uy, vx such that
+    the result is simple and u -> u ^ 1 is not an automorphism of it, or
+    None.  Every degree stays, so only the darts tell it from a mirror."""
+    edges = set(g.edges)
+    for (u, x), (v, y) in itertools.combinations(g.edges, 2):
+        new = {tuple(sorted(e)) for e in ((u, y), (v, x))}
+        if u != y and v != x and len(new) == 2 and not new & edges:
+            switched = Graph(g.n, sorted(edges - {(u, x), (v, y)} | new))
+            if not edge_set_mirrored(switched):
+                return switched
+    return None
+
+
 @given(signed_covers())
 @settings(max_examples=150, deadline=None)
 def test_odd_walk_kernel_on_signed_double_covers(cover):
-    # the cover takes the mirrored path (n/2 rows); one more edge breaks
-    # the symmetry and sends it down the full one (n rows)
-    perturbed = with_edge_breaking_the_mirror(cover)
-    cases = [(cover, cover.n // 2)] + ([] if perturbed is None else [(perturbed, perturbed.n)])
+    # the cover takes the mirrored path (n/2 rows); one more edge, or two
+    # edges switched, break the symmetry and send it down the full one
+    # (n rows)
+    broken = [with_edge_breaking_the_mirror(cover), with_two_edges_switched(cover)]
+    cases = [(cover, cover.n // 2)] + [(g, g.n) for g in broken if g is not None]
     for g, rows in cases:
-        assert mirrored(pack_rows(g.indptr, g.indices)) == edge_set_mirrored(g) == (g is cover)
+        assert mirrored(g.indptr, g.indices) == edge_set_mirrored(g) == (g is cover)
         girth = odd_girth(g)
         for length in ODD_LENGTHS:
             verdict, seen = or_rows_seen(odd_walk_free, g.indptr, g.indices, length)
@@ -344,9 +359,9 @@ def test_sample_girth_checks_take_the_mirrored_rows():
     assert or_rows_seen(odd_walk_free, g.indptr, g.indices, 5) == (True, half)
     assert or_rows_seen(odd_girth_at_least, sample, 7) == (True, half)
     assert or_rows_seen(lambda: has_cycle_of_length(g, 5).status) == ("NO", half)
-    perturbed = with_edge_breaking_the_mirror(g)
-    assert not mirrored(pack_rows(perturbed.indptr, perturbed.indices))
-    assert or_rows_seen(odd_walk_free, perturbed.indptr, perturbed.indices, 5)[1] == {g.n}
+    for perturbed in [with_edge_breaking_the_mirror(g), with_two_edges_switched(g)]:
+        assert not mirrored(perturbed.indptr, perturbed.indices)
+        assert or_rows_seen(odd_walk_free, perturbed.indptr, perturbed.indices, 5)[1] == {g.n}
 
 
 def test_sample_dump_round_trip():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -106,6 +107,26 @@ def test_gen_borsuk_symmetry_above_half_pi(capsys):
     capsys.readouterr()
     assert code == 0
     assert report["verification"]["antipodal_edge_symmetry"] is True
+
+
+def test_gen_borsuk_symmetry_check_on_a_large_sparse_sample(monkeypatch, capsys):
+    # 10,000 vertices with about one neighbour each: the mirror test runs
+    # on the CSR arrays, not on n * n / 8 bytes of bit rows
+    from oddwalk.borsuk import sample_approximation
+
+    g = sample_approximation(2, 0.02, 5_000, 1)
+    n = g.graph.n
+    monkeypatch.setattr(cli, "sample_approximation", lambda *args: g)
+    tracemalloc.start()
+    try:
+        code, report = run_cli(["gen-borsuk", "--n", "2", "--epsilon", "0.02", "--N", "5000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0 and report["results"]["edges"] > n // 4
+    assert report["verification"]["antipodal_edge_symmetry"] is True
+    assert peak < n * n / 8 / 10, peak
 
 
 def test_homotopy_command_with_witness(tmp_path, capsys):
