@@ -72,12 +72,20 @@ def parse_epsilon(text: str, r=None) -> float:
     if cleaned.startswith("pi/"):
         try:
             return math.pi / float(cleaned[3:])
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise InputError(f"bad threshold {text!r}")
     try:
         return float(cleaned)
     except ValueError:
         raise InputError(f"bad threshold {text!r}")
+
+
+def _int_list(text: str, option: str) -> list[int]:
+    """The comma-separated integers of an option's value."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise InputError(f"{option} takes comma-separated integers, not {text!r}")
 
 
 def _report(command: str, config: dict, results: dict, verification: dict, timing: dict) -> dict:
@@ -333,7 +341,7 @@ def cmd_hom_exists(args) -> tuple[int, dict]:
 
 def cmd_fold(args) -> tuple[int, dict]:
     g = parse_graph(_read(args.graph))
-    forbidden = {int(tok) for tok in args.forbid.split(",") if tok.strip()}
+    forbidden = set(_int_list(args.forbid, "--forbid"))
     t0 = time.perf_counter()
     trace = fold_search(
         g, forbidden, beam=args.beam, budget=args.budget, seed=args.seed
@@ -365,8 +373,8 @@ def cmd_fold(args) -> tuple[int, dict]:
 def cmd_experiment_dhom(args) -> tuple[int, dict]:
     r = args.r
     eps = math.pi / (2 * r + 1)
-    n_values = [int(tok) for tok in args.N_list.split(",") if tok.strip()]
-    seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
+    n_values = _int_list(args.N_list, "--N-list")
+    seeds = _int_list(args.seeds, "--seeds")
     mu = cap_measure(args.n, eps)
     runs = []
     verification_ok = True

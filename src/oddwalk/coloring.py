@@ -180,11 +180,11 @@ def _cycle_through_edge(h: Graph, e: tuple[int, int], length: int) -> Optional[l
     """A simple cycle of exactly `length` through edge e, or None.
 
     DFS for a simple path from y to a neighbour of x that avoids x, pruned by
-    breadth-first distance to x; deterministic via sorted neighbors.
+    distance to x (read off balls of bit rows around x); deterministic via
+    sorted neighbors.
     """
     x, y = e
-    dist = depths(bfs([x], h.sorted_neighbors))
-    _, path, _ = simple_path_dfs(h, y, length - 2, x, blocked=x, dist=dist)
+    _, path, _ = simple_path_dfs(h, y, length - 2, x, blocked=x, prune=True)
     return None if path is None else [x] + path + [x]
 
 

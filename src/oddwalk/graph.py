@@ -431,15 +431,20 @@ def has_cycle_of_length(g: Graph, k: int, budget: int = 10**7) -> CycleSearch:
     ODD_WALK_CHECK_MAX_VERTICES vertices, where its bit rows get large.
 
     The search is an exhaustive DFS anchored at the smallest cycle vertex,
-    pruned by BFS distance back to the anchor.  `budget` caps node
+    pruned by distance back to the anchor (`simple_path_dfs` with `prune`,
+    which reads the distances off balls of bit rows).  `budget` caps node
     expansions; exceeding it yields UNKNOWN rather than a wrong NO.
 
     Above ODD_WALK_CHECK_MAX_VERTICES vertices, where g's bit rows (as wide
     as its largest vertex id) could add up to n * n / 16 bytes over the
-    starts, the DFS from s runs on a renamed copy (`_induced`) of the part
-    of g it can enter: s's ROW_BLOCK block, shared by the block's starts,
-    when that holds every vertex above s within k // 2 of s, else s and
-    just those vertices.
+    starts, the DFS from s runs on a renamed copy (`_induced`) of part of g.
+    It can enter only vertices within k // 2 of s (a path vertex i steps
+    from s must get back to s in k - i), and it compares distances to s
+    only up to k // 2, so the copy holds that ball of s, vertices below s
+    included, since shortest paths may run through them.  The copy is s's
+    ROW_BLOCK block, shared by the block's starts, when the ball lies in
+    the block or has no vertex above s (the DFS then expands s alone);
+    else it is the ball.
     """
     if k < 3:
         raise InputError("cycle length must be at least 3")
@@ -448,20 +453,21 @@ def has_cycle_of_length(g: Graph, k: int, budget: int = 10**7) -> CycleSearch:
     expansions = 0
     h, rank, block = g, None, None  # the graph searched, g's vertex -> h's, h's block
     for s in range(g.n):
-        dist = depths(bfs([s], g.sorted_neighbors))
         if g.n > ODD_WALK_CHECK_MAX_VERTICES:
-            # all that the DFS from s can enter besides s: a path vertex i
-            # steps from s must get back to s in k - i
-            ball = [v for v, d in dist.items() if v > s and d <= k // 2]
+            # the vertices within k // 2 of s, below s too, which keep every
+            # distance the DFS compares exact on the copy
+            ball, ring = {s}, {s}
+            for _ in range(k // 2):
+                ring = {w for v in ring for w in g.sorted_adj[v]} - ball
+                ball |= ring
             lo = s - s % ROW_BLOCK
-            if max(ball, default=s) >= lo + ROW_BLOCK:
-                (h, rank), block = _induced(g, [s] + sorted(ball)), None
+            if max(ball) > s and not lo <= min(ball) <= max(ball) < lo + ROW_BLOCK:
+                (h, rank), block = _induced(g, sorted(ball)), None
             elif block != lo:
                 (h, rank), block = _induced(g, range(lo, min(lo + ROW_BLOCK, g.n))), lo
-            dist = {rank[v]: d for v, d in dist.items() if v in rank}
         start = s if rank is None else rank[s]
         status, path, used = simple_path_dfs(
-            h, start, k - 1, start, budget=budget - expansions, lowest=start + 1, dist=dist
+            h, start, k - 1, start, budget=budget - expansions, lowest=start + 1, prune=True
         )
         expansions += used
         if status == YES:
@@ -508,6 +514,8 @@ def odd_walk_free(indptr: np.ndarray, indices: np.ndarray, length: int) -> bool:
     way as (u ^ 1, w ^ 1), and each such pair of darts has exactly one
     with u even and w >= u.
     """
+    if length < 1 or length % 2 == 0:
+        raise InputError(f"odd walk length must be odd and positive, not {length}")
     n = len(indptr) - 1
     if length == 1:
         return not np.any(indices == csr_rows(indptr))

@@ -202,7 +202,7 @@ def fold_search(
     A merge of two non-adjacent vertices is admissible when every forbidden
     length gets a clean NO from a budgeted cycle search through the merged
     vertex (UNKNOWN counts as inadmissible, keeping claimed quotients
-    honest).  Each search is `simple_path_dfs` without distances, whose
+    honest).  Each search is `simple_path_dfs` without `prune`, whose
     last two layers are counted in closed form; it gets a quarter of the
     budget left (at least 1,000 expansions), and what it spends decides
     which merges get tried.  Candidate pairs come from `_ranked_pairs`:

@@ -90,7 +90,7 @@ def simple_path_dfs(
     budget: float = math.inf,
     lowest: int = 0,
     blocked: Optional[int] = None,
-    dist: Optional[dict] = None,
+    prune: bool = False,
 ) -> tuple[str, Optional[list[int]], int]:
     """Depth-first search for a simple path start, v1, ..., v_steps
     (steps >= 1) whose last vertex is adjacent to `end`.
@@ -98,20 +98,29 @@ def simple_path_dfs(
     Neighbours are tried in sorted order, so the first path found is the
     lexicographically smallest.  Vertices below `lowest`, the `blocked`
     vertex and vertices already on the path are never entered.  With
-    `dist` (graph distances to `end`), a vertex entered with r vertices
-    still to add is kept only when its distance to `end` is at most r + 1.
-    Every vertex entered, the start included, is one expansion; the search
-    gives up once expansions exceed `budget`.
+    `prune`, a vertex entered with r vertices still to add is kept only
+    when its distance to `end` in g is at most r + 1, so a vertex that
+    `end` cannot reach is never entered.  Every vertex entered, the start
+    included, is one expansion; the search gives up once expansions
+    exceed `budget`.
 
     The search reads the graph's bit rows (`g.bit_rows`: bit w of rows[v]
     is set when w is a neighbour of v) and keeps the set of vertices it may
-    still enter as one such int as the path moves.  The layers above the
-    last two are walked; the last two are counted, not walked, at what
-    entering their vertices one by one would charge, up to and including
-    the vertex that closes the first path.  The last vertex must lie in A1
-    and the one before it in A2: with `dist`, A1 = N[end] and A2 =
-    N[N[end]] (distance at most 1 and 2), otherwise every vertex.  Let free
-    be the vertices >= `lowest` that are off the path and not blocked.
+    still enter as one such int as the path moves.  With `prune` it grows
+    the balls around `end` from the same rows, ring by ring: balls[0] is
+    end's bit, and balls[j] ORs the rows of the members of ring j - 1
+    (balls[j - 1] less balls[j - 2]) into balls[j - 1], for j up to
+    max(steps, 2).  A vertex is in balls[j] iff its distance to `end` is
+    at most j.
+
+    The layers above the last two are walked, each layer's candidates
+    masked with the ball of its distance bound; the last two are counted,
+    not walked, at what entering their vertices one by one would charge,
+    up to and including the vertex that closes the first path.  The last
+    vertex must lie in A1 and the one before it in A2: with `prune`, A1 =
+    balls[1] = N[end] and A2 = balls[2] = N[N[end]], otherwise every
+    vertex.  Let free be the vertices >= `lowest` that are off the path
+    and not blocked.
     - One vertex left to add after v: the candidates are N(v) & free & A1,
       and the hit is the smallest of them in N(end).  The count is the
       candidates up to and including the hit, or all of them.
@@ -128,10 +137,11 @@ def simple_path_dfs(
       The middle sum is the sum of d over N(u) & A2 & {>= lowest}, less
       d(p) for each such p that is taken, so the count takes O(|path|)
       word operations.  That sum is computed once per u, or, without
-      `dist` and with `lowest` 0, read from `g.bit_rows.degree_sums`.
+      `prune` and with `lowest` 0, read from `g.bit_rows.degree_sums`.
     A count that passes the budget ends the search where the walk would
     have, at floor(budget) + 1 expansions.  Set-up takes O(deg(end)) row
-    operations.
+    operations, and with `prune` one more for each vertex within
+    max(steps, 2) - 1 of `end`.
 
     Returns (YES, path, expansions), (NO, None, expansions) after an
     exhaustive search, or (UNKNOWN, None, expansions) over budget.
@@ -148,13 +158,15 @@ def simple_path_dfs(
     reach = 0
     for x in _members(closing & free):
         reach |= rows[x]
-    if dist is None:
-        near = nearer = -1
-    else:
-        near = rows[end] | 1 << end
-        nearer = near
-        for x in _members(rows[end]):
-            nearer |= rows[x]
+    balls = [-1] * (max(steps, 2) + 1)  # balls[j]: the vertices within j of end
+    if prune:
+        balls[0] = ring = 1 << end
+        for j in range(1, len(balls)):
+            balls[j] = balls[j - 1]
+            for x in _members(ring):
+                balls[j] |= rows[x]
+            ring = balls[j] & ~balls[j - 1]
+    near, nearer = balls[1], balls[2]
     counted = near & high  # d(w) = |N(w) & counted|
     # when every vertex counts, d(w) is w's degree and the sums come with the rows
     degree_sums = rows.degree_sums if counted == nearer == -1 else {}
@@ -208,12 +220,10 @@ def simple_path_dfs(
 
     if steps <= 2:
         return finish() or (NO, None, expansions)
-    stack = [_members(rows[start] & free)]
+    stack = [_members(rows[start] & free & balls[steps])]
     while stack:
         remaining = steps - len(stack) + 1  # vertices left to add, this one included
         for w in stack[-1]:
-            if dist is not None and dist[w] > remaining:
-                continue
             expansions += 1
             if expansions > budget:
                 return UNKNOWN, None, expansions
@@ -226,7 +236,7 @@ def simple_path_dfs(
                 path.pop()
                 free |= 1 << w
                 continue
-            stack.append(_members(rows[w] & free))
+            stack.append(_members(rows[w] & free & balls[remaining - 1]))
             break
         else:
             stack.pop()

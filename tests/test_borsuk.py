@@ -273,6 +273,15 @@ def test_odd_walk_kernel_at_odd_girth_boundary():
         assert odd_walk_free(*csr(dense(cycle(length + 2))), length)
 
 
+def test_odd_walk_kernel_refuses_even_and_nonpositive_lengths():
+    # K3 has a closed walk of length 2 (there and back), which is not odd
+    k3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    for length in (2, 4, 0, -1):
+        with pytest.raises(InputError):
+            odd_walk_free(k3.indptr, k3.indices, length)
+    assert not odd_walk_free(k3.indptr, k3.indices, 3)
+
+
 @given(small_graphs())
 @settings(max_examples=120, deadline=None)
 def test_odd_walk_kernel_matches_reference_on_random_graphs(g):

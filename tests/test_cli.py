@@ -34,6 +34,9 @@ def test_parse_epsilon_forms():
         parse_epsilon("pi/(2r+1)")
     with pytest.raises(InputError):
         parse_epsilon("elephant")
+    for bad in ("pi/0", "pi/0.0", "pi/x"):
+        with pytest.raises(InputError):
+            parse_epsilon(bad)
 
 
 def test_odd_girth_command(tmp_path, capsys):
@@ -54,6 +57,17 @@ def test_usage_error_exit_codes(tmp_path):
     bad.write_text("0 0\n")
     code, _ = run_cli(["odd-girth", "--graph", str(bad)])
     assert code == 2
+    # malformed option values are usage errors, not internal ones
+    gp = write_graph(tmp_path, "c7.el", cycle(7))
+    dhom = ["experiment-dhom", "--n", "2", "--r", "2", "--fold-budget", "0"]
+    for argv in (
+        ["gen-borsuk", "--n", "2", "--epsilon", "pi/0", "--N", "10"],
+        ["fold", "--graph", gp, "--forbid", "5,x"],
+        dhom + ["--N-list", "10,x", "--seeds", "1"],
+        dhom + ["--N-list", "10", "--seeds", "1,x"],
+    ):
+        code, report = run_cli(argv)
+        assert (code, report["kind"]) == (USAGE_ERROR, "InputError"), argv
 
 
 def test_internal_error_gets_its_own_exit_code_and_report(tmp_path, monkeypatch, capsys):

@@ -29,6 +29,7 @@ from oddwalk.graph import (
     YES,
     Graph,
     canon_edge,
+    connected_components,
     degeneracy_order,
     double_cover_odd_walk,
     has_cycle_of_length,
@@ -190,24 +191,6 @@ def test_cycle_check_keeps_every_dfs_verdict_on_random_graphs(g):
     check_verdicts(g, range(3, min(g.n, 9) + 1))
 
 
-def test_cycle_check_above_the_vertex_cap_is_the_dfs(monkeypatch):
-    monkeypatch.setattr(graph_module, "ODD_WALK_CHECK_MAX_VERTICES", 4)
-    # with 3-vertex blocks most searches leave their start's block, so the
-    # DFS runs on copies of both kinds
-    for block in (3, graph_module.ROW_BLOCK):
-        monkeypatch.setattr(graph_module, "ROW_BLOCK", block)
-        for g in CORPUS + [bipartite_with_triangle(10, 3, 2)]:
-            for k in range(3, min(g.n, 7) + 1):
-                for budget in BUDGETS:
-                    got = has_cycle_of_length(g, k, budget=budget)
-                    want = ref.has_cycle_of_length(g, k, budget=budget)
-                    if g.n > 4:
-                        want = (want.status, want.witness, want.expansions)
-                    else:
-                        want = expected_cycle_search(g, k, budget)
-                    assert (got.status, got.witness, got.expansions) == want
-
-
 def bipartite_with_triangle(half, degree, seed):
     """A random bipartite graph on 2 * half vertices, about `degree` edges
     per vertex on each side, with a triangle hung on vertex 0.  Every odd
@@ -218,6 +201,45 @@ def bipartite_with_triangle(half, degree, seed):
     edges = {(rnd.randrange(half), half + rnd.randrange(half)) for _ in range(degree * half)}
     a, b = 2 * half, 2 * half + 1
     return Graph(2 * half + 2, sorted(edges | {(0, a), (a, b), (0, b)}))
+
+
+def check_above_the_cap(g, budgets=BUDGETS):
+    """With the cap at 4 vertices, every search on g with k = 3-9 runs on
+    copies, and must still be the reference DFS.  With 3- and 6-vertex
+    blocks most searches leave their start's block, so the DFS runs on
+    copies of both kinds; a copy that lost the shortest paths through
+    vertices below the start, or below its block, would measure longer
+    distances and prune differently."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "ODD_WALK_CHECK_MAX_VERTICES", 4)
+        for block in (3, 6, 1024):
+            patch.setattr(graph_module, "ROW_BLOCK", block)
+            for k in range(3, min(g.n, 9) + 1):
+                for budget in budgets:
+                    got = has_cycle_of_length(g, k, budget=budget)
+                    want = ref.has_cycle_of_length(g, k, budget=budget)
+                    if g.n > 4:
+                        want = (want.status, want.witness, want.expansions)
+                    else:
+                        want = expected_cycle_search(g, k, budget)
+                    assert (got.status, got.witness, got.expansions) == want
+
+
+def test_cycle_check_above_the_vertex_cap_is_the_dfs():
+    # a shared block copy without the ball vertices below the block takes
+    # 207 expansions on this graph at k = 7 with 6-vertex blocks, not 208
+    below_the_block = Graph(12, [
+        (0, 3), (1, 7), (1, 8), (2, 6), (2, 8), (2, 11), (3, 10), (4, 11),
+        (5, 8), (5, 10), (5, 11), (6, 8), (6, 9), (7, 11), (8, 10), (10, 11),
+    ])
+    for g in CORPUS + [cycle(6), cycle(8), bipartite_with_triangle(10, 3, 2), below_the_block]:
+        check_above_the_cap(g)
+
+
+@given(small_graphs())
+@settings(max_examples=120, deadline=None)
+def test_cycle_check_above_the_vertex_cap_is_the_dfs_on_random_graphs(g):
+    check_above_the_cap(g, budgets=(3, 50, 10**5))
 
 
 @pytest.mark.parametrize(
@@ -299,28 +321,33 @@ def expected_under_budget(full, budget):
 
 def check_path_dfs(g, rnd):
     """`simple_path_dfs` against the walk-every-vertex reference: steps 1-6,
-    each of lowest (above 0), blocked and dist on or off, unlimited and
-    finite budgets.  The reference runs at the budget it spends, one below
-    and two random ones.  The last two layers are counted in bulk, so
-    every budget from 1 to spent + 1 is checked when the search spends at
-    most 500 expansions, and 50 random ones otherwise, so budgets land
-    inside the counted blocks."""
+    each of lowest (above 0), blocked and pruning on or off, unlimited and
+    finite budgets.  The library prunes with `prune=True`, the reference
+    with the full distances to `end` (infinite where `end` cannot reach).
+    When g has more than one component, about half of the start/end pairs
+    lie in different components.  The reference runs at the budget it
+    spends, one below and two random ones.  The last two layers are
+    counted in bulk, so every budget from 1 to spent + 1 is checked when
+    the search spends at most 500 expansions, and 50 random ones
+    otherwise, so budgets land inside the counted blocks."""
     if g.n == 0:
         return
+    component = {v: i for i, comp in enumerate(connected_components(g)) for v in comp}
     for steps in range(1, 7):
-        for use_lowest, use_blocked, use_dist in itertools.product((False, True), repeat=3):
+        for use_lowest, use_blocked, use_prune in itertools.product((False, True), repeat=3):
             start, end = rnd.randrange(g.n), rnd.randrange(g.n)
+            apart = [v for v in range(g.n) if component[v] != component[start]]
+            if apart and rnd.random() < 0.5:
+                end = rnd.choice(apart)
             blocked = rnd.choice([start, rnd.randrange(g.n)]) if use_blocked else None
-            kwargs = {
-                "lowest": rnd.randint(1, g.n) if use_lowest else 0,
-                "blocked": blocked,
-                "dist": full_distances(g, end) if use_dist else None,
-            }
+            kwargs = {"lowest": rnd.randint(1, g.n) if use_lowest else 0, "blocked": blocked}
+            lib = dict(kwargs, prune=use_prune)
+            kwargs["dist"] = full_distances(g, end) if use_prune else None
             want = ref.simple_path_dfs(g, start, steps, end, **kwargs)
-            assert simple_path_dfs(g, start, steps, end, **kwargs) == want
+            assert simple_path_dfs(g, start, steps, end, **lib) == want
             spent = want[2]
             for budget in {spent, spent - 1, rnd.randint(1, spent + 1), rnd.randint(1, 3)}:
-                got = simple_path_dfs(g, start, steps, end, budget=budget, **kwargs)
+                got = simple_path_dfs(g, start, steps, end, budget=budget, **lib)
                 assert got == ref.simple_path_dfs(g, start, steps, end, budget=budget, **kwargs)
                 assert got == expected_under_budget(want, budget)
             if spent <= 500:
@@ -328,7 +355,7 @@ def check_path_dfs(g, rnd):
             else:
                 budgets = [rnd.randint(1, spent + 1) for _ in range(50)]
             for budget in budgets:
-                got = simple_path_dfs(g, start, steps, end, budget=budget, **kwargs)
+                got = simple_path_dfs(g, start, steps, end, budget=budget, **lib)
                 assert got == expected_under_budget(want, budget)
 
 
@@ -354,7 +381,7 @@ def test_simple_path_dfs_charges_a_hit_at_its_rank():
     assert simple_path_dfs(g, 0, 2, 5, budget=4) == ("UNKNOWN", None, 5)
     assert simple_path_dfs(g, 0, 2, 5, budget=2) == ("UNKNOWN", None, 3)
     # with distances to the end only 4 (distance 1) is a candidate
-    assert simple_path_dfs(g, 0, 2, 5, dist=full_distances(g, 5)) == ("YES", [0, 1, 4], 3)
+    assert simple_path_dfs(g, 0, 2, 5, prune=True) == ("YES", [0, 1, 4], 3)
 
 
 def traced_fold(g, forbidden, reference, **kwargs):
