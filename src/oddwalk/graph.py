@@ -29,7 +29,6 @@ from .traverse import (
     YES,
     bfs,
     depths,
-    odd_closed_walk_length,
     path_to_root,
     simple_path_dfs,
 )
@@ -40,7 +39,8 @@ MAX_VERTICES = 10**6
 # largest vertex count for which has_cycle_of_length runs the exact odd-walk
 # check first; its bit rows take n * n / 8 bytes per copy
 ODD_WALK_CHECK_MAX_VERTICES = 2**14
-# rows that Graph.bit_rows packs at once, on the first read of any of them
+# rows that Graph.bit_rows packs at once, on the first read of any of them,
+# and roots that shortest_odd_cycle searches at once, one bit column each
 ROW_BLOCK = 1024
 
 
@@ -389,19 +389,50 @@ def shortest_odd_cycle(g: Graph) -> Optional[list[int]]:
     The walk v -> a, a-b, b -> v is an odd closed walk of length 2k + 1.
     No odd closed walk through v is shorter: an odd closed walk must use an
     edge inside one layer, at some depth j >= k, and getting there and back
-    takes 2j steps.  So each root's scan stops once 2k + 1 reaches the best
-    length found so far (Itai & Rodeh, SIAM J. Comput. 1978).  Roots are
-    scanned in ascending order and only a strict improvement replaces the
-    best, so the smallest root among the shortest wins; its walk is the
-    double-cover BFS walk of `double_cover_odd_walk`.  Shortest odd closed
-    walks never repeat vertices, so that walk is a cycle.
+    takes 2j steps.  So the search from v stops once 2k + 1 reaches the
+    best length found so far (Itai & Rodeh, SIAM J. Comput. 1978).
+
+    The roots are searched in ascending blocks of ROW_BLOCK, a block's BFSes
+    in one pass: bit j of row u of `layer` is set iff u is at distance k
+    from root lo + j, and each round ORs the layer rows of u's neighbours
+    into reached[u].  Bit j of the OR over u of layer[u] & reached[u] is
+    set iff layer k of root lo + j holds an edge.  A block stops there,
+    when its layers are all empty, or once 2k + 1 reaches the best length;
+    its lowest set bit is its smallest shortest root, and only a strictly
+    shorter block replaces the best, so the smallest root among the
+    shortest wins.  Its walk is the double-cover BFS walk of
+    `double_cover_odd_walk`.  Shortest odd closed walks never repeat
+    vertices, so that walk is a cycle.
     """
     best_length: float = INFINITE
     best_root: Optional[int] = None
-    for v in range(g.n):
-        length = odd_closed_walk_length(g.sorted_adj, v, best_length)
-        if length is not None:
-            best_length, best_root = length, v
+    # the darts in runs of 32 per root, so one run's gather is 4 MB at 1,024
+    # roots; `starts` are the offsets in a run where a row's darts begin (0
+    # too, as a row may go on from the run before) and `rows` those rows
+    tails, runs = csr_rows(g.indptr), []
+    for a in range(0, len(tails), 32 * ROW_BLOCK):
+        part = tails[a : a + 32 * ROW_BLOCK]
+        starts = np.flatnonzero(np.diff(part, prepend=-1))
+        runs.append((g.indices[a : a + len(part)], starts, part[starts]))
+    for lo in range(0, g.n, ROW_BLOCK):
+        roots = np.arange(min(ROW_BLOCK, g.n - lo))
+        layer = np.zeros((g.n, (len(roots) + 63) // 64), dtype=np.uint64)
+        layer[lo + roots, roots >> 6] = np.uint64(1) << (roots & 63).astype(np.uint64)
+        unseen = ~layer
+        k = 0
+        while 2 * k + 1 < best_length and layer.any():
+            reached = np.zeros_like(layer)
+            for heads, starts, rows in runs:
+                reached[rows] |= np.bitwise_or.reduceat(layer[heads], starts, axis=0)
+            inner = np.bitwise_or.reduce(layer & reached, axis=0)
+            if inner.any():
+                word = int(np.flatnonzero(inner)[0])
+                bits = int(inner[word])
+                best_length, best_root = 2 * k + 1, lo + 64 * word + (bits & -bits).bit_length() - 1
+                break
+            layer = np.bitwise_and(reached, unseen, out=reached)
+            unseen ^= layer
+            k += 1
     if best_root is None:
         return None
     best = double_cover_odd_walk(g, best_root)

@@ -1,8 +1,8 @@
 """The graph-search kernels every traversal in oddwalk goes through:
-breadth-first search over any successor function, a depth-bounded layered
-breadth-first search for odd closed walks, a budgeted simple-path
+breadth-first search over any successor function, a budgeted simple-path
 depth-first search with an explicit stack, and a bidirectional
-meet-in-the-middle search over move-reachable states.
+meet-in-the-middle search over move-reachable states.  (The odd girth's
+layered search runs on bit columns, in `graph.shortest_odd_cycle`.)
 
 All of them are iterative, so input size never turns into recursion depth,
 and deterministic: states are discovered in the order the successor
@@ -56,30 +56,6 @@ def depths(parent: dict) -> dict:
     for state, prev in parent.items():
         dist[state] = 0 if prev is None else dist[prev] + 1
     return dist
-
-
-def odd_closed_walk_length(nbrs, root: int, bound: float) -> Optional[int]:
-    """Length of a shortest odd closed walk through `root`, if below `bound`.
-
-    `nbrs[u]` holds u's neighbours.  If k is the first BFS layer from
-    `root` that contains an edge, the answer is 2k + 1.  Returns None
-    when no layer before the first with 2k + 1 >= `bound` has an inner
-    edge, or when the component runs out first.  Layer k is checked for
-    inner edges in the same pass that discovers layer k + 1.
-    """
-    seen = {root}
-    layer = [root]
-    k = 0
-    while layer and 2 * k + 1 < bound:
-        reached = set()
-        for u in layer:
-            reached.update(nbrs[u])
-        if not reached.isdisjoint(layer):
-            return 2 * k + 1
-        layer = reached - seen
-        seen |= layer
-        k += 1
-    return None
 
 
 def simple_path_dfs(

@@ -19,7 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import traversal_reference as ref
-from graphs import complete, cycle, example7, fuzz_corpus, path, petersen, small_graphs
+from graphs import (
+    complete,
+    cycle,
+    example7,
+    fuzz_corpus,
+    path,
+    petersen,
+    random_graph,
+    small_graphs,
+)
 from oddwalk import graph as graph_module
 from oddwalk import homsearch
 from oddwalk.borsuk import sample_approximation
@@ -40,7 +49,7 @@ from oddwalk.homotopy import Walk, are_homotopic
 from oddwalk.homsearch import fold_search, hom_exists
 from oddwalk.ncomplex import build_ncomplex, equivalent_edge_paths, walk_to_edgepath
 from oddwalk.rng import Stream
-from oddwalk.traverse import bfs, depths, odd_closed_walk_length, path_to_root, simple_path_dfs
+from oddwalk.traverse import bfs, depths, path_to_root, simple_path_dfs
 
 EPS5 = math.pi / 5
 BUDGETS = (3, 50, 10**7)  # the small ones run out: UNKNOWN with budget + 1 expansions
@@ -67,16 +76,32 @@ def check_bipartite_and_walks(g):
     for v in range(g.n):
         walk = double_cover_odd_walk(g, v)
         assert walk == ref.double_cover_odd_walk(g, v)
-        # the layered kernel's length is the double-cover distance
-        length = odd_closed_walk_length(g.sorted_adj, v, math.inf)
+        # the per-root layered search's length is the double-cover distance
+        length = ref.odd_closed_walk_length(g.sorted_adj, v, math.inf)
         if walk is None:
             assert length is None
             continue
         assert length == len(walk) - 1
         # the bound is exclusive: a walk of exactly the bound is not reported
-        assert odd_closed_walk_length(g.sorted_adj, v, length) is None
-        assert odd_closed_walk_length(g.sorted_adj, v, length + 1) == length
-    assert shortest_odd_cycle(g) == ref.shortest_odd_cycle(g)
+        assert ref.odd_closed_walk_length(g.sorted_adj, v, length) is None
+        assert ref.odd_closed_walk_length(g.sorted_adj, v, length + 1) == length
+    check_shortest_odd_cycle(g)
+
+
+# root blocks of one root, of a few, of one 64-bit word, just over one word
+# (a second word with one bit) and the default
+ROOT_BLOCKS = (1, 3, 64, 65, 1024)
+
+
+def check_shortest_odd_cycle(g, blocks=ROOT_BLOCKS):
+    """The bit-column search returns the reference's cycle whatever the
+    root block; blocks of 1 and 3 roots also cut the darts into runs of 32
+    and 96, so most rows of a larger graph are split between two runs."""
+    want = ref.shortest_odd_cycle(g)
+    with pytest.MonkeyPatch.context() as patch:
+        for block in blocks:
+            patch.setattr(graph_module, "ROW_BLOCK", block)
+            assert shortest_odd_cycle(g) == want, block
 
 
 def expected_cycle_search(g, k, budget):
@@ -451,8 +476,71 @@ def test_ranked_pairs_matches_reference():
                 assert stream.counter == want_stream.counter
 
 
+def disjoint_union(*graphs):
+    edges, at = [], 0
+    for h in graphs:
+        edges += [(u + at, w + at) for u, w in h.edges]
+        at += h.n
+    return Graph(at, edges)
+
+
+@pytest.mark.parametrize("g", [
+    Graph(0, []),
+    Graph(1, []),
+    Graph(70, []),
+    disjoint_union(Graph(3, []), path(5), cycle(6), complete(2)),  # bipartite only
+    disjoint_union(path(4), Graph(2, []), cycle(8), cycle(5), Graph(3, []), cycle(10)),
+    # the shortest cycle's first root in word 1 or 2 of a block of 1,024
+    disjoint_union(Graph(70, []), cycle(5), Graph(3, []), cycle(7)),
+    disjoint_union(path(129), cycle(9), cycle(4), cycle(11)),
+], ids=repr)
+def test_shortest_odd_cycle_with_isolated_vertices_and_bipartite_parts(g):
+    check_shortest_odd_cycle(g)
+
+
+@pytest.mark.parametrize("n, p, seed", [
+    (70, 0.05, 1), (70, 0.12, 2), (96, 0.04, 3), (129, 0.03, 4), (150, 0.02, 5), (150, 0.06, 6),
+])
+def test_shortest_odd_cycle_matches_reference_on_larger_random_graphs(n, p, seed):
+    # 70-150 roots: two or three 64-bit words per block of 1,024
+    check_shortest_odd_cycle(random_graph(n, p, seed))
+
+
+@pytest.mark.parametrize("block", ROOT_BLOCKS)
+def test_shortest_odd_cycle_in_a_later_block_and_a_tie_after_it(block):
+    # with blocks of 64 roots or more, block 0 is bipartite, block 1 holds a
+    # 9-cycle, block 2 a shorter 7-cycle, and block 3 another 7-cycle, which
+    # ties and must not win
+    g = disjoint_union(
+        Graph(max(block - 6, 0), []), cycle(6), cycle(9),
+        Graph(block, []), cycle(7), Graph(block, []), cycle(7), path(3),
+    )
+    first = max(block, 6) + 9 + block  # the first 7-cycle's smallest vertex
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "ROW_BLOCK", block)
+        got = shortest_odd_cycle(g)
+    assert got == ref.shortest_odd_cycle(g) == list(range(first, first + 7)) + [first]
+
+
+def test_shortest_odd_cycle_keeps_memory_linear():
+    # 10,000 disjoint triangles: 30 root blocks of one or two rounds each.
+    # Dense bit rows would take n / 8 bytes per vertex (112 MB here); the
+    # search keeps a few n x 16-word matrices and one run of darts
+    n = 30_000
+    g = Graph(n, [e for a in range(0, n, 3) for e in ((a, a + 1), (a, a + 2), (a + 1, a + 2))])
+    g.sorted_adj  # the graph's own view, which the closing walk reads
+    tracemalloc.start()
+    try:
+        got = shortest_odd_cycle(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [0, 1, 2, 0]
+    assert peak < 1000 * n, peak
+
+
 def test_shortest_odd_cycle_on_a_deep_cycle():
-    g = cycle(1501)  # 750 BFS layers from every root
+    g = cycle(1501)  # 750 rounds in each of its two root blocks
     assert shortest_odd_cycle(g) == ref.shortest_odd_cycle(g) == list(range(1501)) + [0]
 
 

@@ -6,9 +6,13 @@ test_traverse.py requires the library to agree with them exactly: same
 walks, witnesses, statuses, expansion counts, node counts and
 states_explored.  The recursive ones are only run on inputs shallow
 enough for Python's recursion limit.  `shortest_odd_cycle` is the
-n-pass odd-girth search that the depth cut-off replaced, and
-`legal_moves` the list-building move generator that `are_homotopic` used
-before its search ran on vertex tuples.  `degeneracy_order` is the
+n-pass odd-girth search that the depth cut-off replaced.
+`odd_closed_walk_length` is the search with that cut-off, one layered
+BFS on Python sets per root, that `graph.shortest_odd_cycle` replaced by
+searching a block of roots at once on bit columns; the tests check its
+per-root lengths against `double_cover_odd_walk`.  `legal_moves` is the
+list-building move generator that `are_homotopic` used before its search
+ran on vertex tuples.  `degeneracy_order` is the
 minimum scan over every remaining vertex that the bucket queue replaced.
 `simple_path_dfs` is the budgeted path search that entered every vertex
 one by one, the last two layers included, before those layers were
@@ -100,6 +104,30 @@ def double_cover_odd_walk(g, v):
         cur = parent[cur]
     walk.append(v)
     return walk[::-1]
+
+
+def odd_closed_walk_length(nbrs, root, bound):
+    """Length of a shortest odd closed walk through `root`, if below `bound`.
+
+    `nbrs[u]` holds u's neighbours.  If k is the first BFS layer from
+    `root` that contains an edge, the answer is 2k + 1.  Returns None
+    when no layer before the first with 2k + 1 >= `bound` has an inner
+    edge, or when the component runs out first.  Layer k is checked for
+    inner edges in the same pass that discovers layer k + 1.
+    """
+    seen = {root}
+    layer = [root]
+    k = 0
+    while layer and 2 * k + 1 < bound:
+        reached = set()
+        for u in layer:
+            reached.update(nbrs[u])
+        if not reached.isdisjoint(layer):
+            return 2 * k + 1
+        layer = reached - seen
+        seen |= layer
+        k += 1
+    return None
 
 
 def shortest_odd_cycle(g):
