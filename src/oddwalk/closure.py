@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import HypothesisError, InputError, ParseError, ViolationError
-from .graph import Graph, canon_edge, csr_rows, is_bipartite
+from .graph import Graph, canon_edge, csr_rows, is_bipartite, pack_rows
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,23 @@ def _dense_components(adjacent: np.ndarray) -> np.ndarray:
 
 def _c4_pairs(h: Graph) -> np.ndarray:
     """Boolean n x n matrix of the vertex pairs u != w with at least two
-    common neighbors, from the codegree matrix A.A.  The float32 product
-    is exact: codegrees stay far below 2**24."""
-    a = np.zeros((h.n, h.n), dtype=np.float32)
-    a[csr_rows(h.indptr), h.indices] = 1.0
-    pairs = (a @ a) >= 2
+    common neighbors, by exact integer work on bit rows (`pack_rows`), no
+    BLAS call.  Step k ORs the k-th neighbour's row of every vertex into
+    `one`; a bit that `one` already holds marks a second common neighbour
+    in `two`.  Vertices go in descending degree, so those still stepping
+    are a prefix.  O(m n / 64) word operations, O(n^2) bits."""
+    rows = pack_rows(h.indptr, h.indices)
+    degree = np.diff(h.indptr)
+    order = np.argsort(-degree, kind="stable")
+    starts = h.indptr[:-1][order]
+    one, two = np.zeros_like(rows), np.zeros_like(rows)
+    for k in range(int(degree.max(initial=0))):
+        c = int(np.count_nonzero(degree > k))
+        x = rows[h.indices[starts[:c] + k]]
+        two[:c] |= one[:c] & x
+        one[:c] |= x
+    two = two[np.argsort(order)].astype("<u8", copy=False)
+    pairs = np.unpackbits(two.view(np.uint8), axis=1, count=h.n, bitorder="little").view(bool)
     np.fill_diagonal(pairs, False)
     return pairs
 
@@ -265,10 +277,10 @@ def _partition(owner: Graph, labels: np.ndarray) -> ClosurePartition:
 def c4_partition(h: Graph) -> ClosurePartition:
     """Edge classes generated by co-membership in a 4-cycle.
 
-    Built once per graph and cached on it.  Cost: one n x n float32 matrix
-    product for the codegrees, O(deg(x)^2) array work per vertex x for its
-    wedge components (sum of deg^2 in all, vectorised), and an array
-    union-find over O(m) pairs; memory O(n^2) bytes plus O(m).
+    Built once per graph and cached on it.  Cost: O(m n / 64) bit-row word
+    operations for the codegree >= 2 pairs (no BLAS), O(deg(x)^2) array work
+    per vertex x for its wedge components (sum of deg^2, vectorised), and an
+    array union-find over O(m) pairs; memory O(n^2) bytes plus O(m).
     """
     if h._c4_partition is None:
         h._c4_partition = _partition(h, _c4_labels(h))

@@ -1,12 +1,16 @@
-"""Pure-Python reference implementations of the 4-cycle closure kernels.
+"""Reference implementations of the 4-cycle closure kernels.
 
 These are the dictionary union-find versions that `oddwalk.closure` and
-`oddwalk.coloring` used before the array kernel; the differential tests in
-test_closure_kernel.py require the library to agree with them exactly:
-same class numbering, same class contents, same bundle order.
+`oddwalk.coloring` used before the array kernel, and the codegree matrix
+product that found its vertex pairs before the bit-row kernel; the
+differential tests in test_closure_kernel.py require the library to agree
+with them exactly: same pairs, same class numbering, same class contents,
+same bundle order.
 """
 
-from oddwalk.graph import canon_edge
+import numpy as np
+
+from oddwalk.graph import canon_edge, csr_rows
 
 
 class UnionFind:
@@ -96,3 +100,14 @@ def non_edge_message(source, target, mapping):
         if not target.has_edge(mapping[u], mapping[v]):
             return f"edge ({u}, {v}) maps to non-edge ({mapping[u]}, {mapping[v]})"
     return None
+
+
+def c4_pairs(h):
+    """Boolean n x n matrix of the vertex pairs u != w with at least two
+    common neighbors, from the codegree matrix A.A.  The float32 product
+    is exact: codegrees stay far below 2**24."""
+    a = np.zeros((h.n, h.n), dtype=np.float32)
+    a[csr_rows(h.indptr), h.indices] = 1.0
+    pairs = (a @ a) >= 2
+    np.fill_diagonal(pairs, False)
+    return pairs

@@ -1,14 +1,17 @@
 """Differential and cache tests for the array-backed closure kernel.
 
-`closure_reference` keeps the pure-Python union-find kernels; the library
-must reproduce their class numbering, class contents (insertion order
-included, so frozenset iteration order matches too) and bundle order.
+`closure_reference` keeps the pure-Python union-find kernels and the
+codegree matrix product; the library must reproduce their vertex pairs,
+class numbering, class contents (insertion order included, so frozenset
+iteration order matches too) and bundle order.
 """
 
 import math
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 import closure_reference as ref
 from graphs import complete, cycle, example7, fuzz_corpus, path, petersen, random_graph, small_graphs
 from oddwalk.borsuk import sample_approximation, tetrahedral_hom
-from oddwalk.closure import GraphHom, c4_bundles, c4_partition, phi_partition
+from oddwalk.closure import GraphHom, _c4_pairs, c4_bundles, c4_partition, phi_partition
 from oddwalk.graph import Graph, canon_edge
 
 EPS5 = math.pi / 5
@@ -30,7 +33,14 @@ def assert_same_partition(part, expected):
     assert list(part.class_of) == list(class_of)
 
 
+def assert_same_pairs(g):
+    pairs = _c4_pairs(g)
+    assert pairs.dtype == bool
+    assert np.array_equal(pairs, ref.c4_pairs(g))
+
+
 def check_graph(g):
+    assert_same_pairs(g)
     assert_same_partition(c4_partition(g), ref.c4_partition(g))
     assert_same_partition(phi_partition(GraphHom.identity(g)), ref.phi_partition(GraphHom.identity(g)))
     assert c4_bundles(g) == ref.c4_bundles(g)
@@ -80,6 +90,72 @@ def test_kernel_matches_reference_on_300_vertex_sample():
     check_graph(sample.graph)
     phi = tetrahedral_hom(sample)
     assert_same_partition(phi_partition(phi), ref.phi_partition(phi))
+
+
+def star(k):
+    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+# vertex counts at and around the 64-bit word boundaries of the bit rows
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+def test_pairs_match_the_codegree_product_at_word_boundaries(n):
+    for p in (0.05, 0.3):
+        assert_same_pairs(random_graph(n, p, 1_000 + n))
+    # vertex n - 1, the last bit of the rows, on a 4-cycle with vertex 0
+    assert_same_pairs(Graph(n, [(0, 1), (1, n - 1), (n - 1, 2), (2, 0)]))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(0, []), Graph(1, []), Graph(2, []), Graph(2, [(0, 1)]), Graph(9, [])],
+    ids=["n0", "n1", "n2", "k2", "edgeless"],
+)
+def test_pairs_on_tiny_and_edgeless_graphs(g):
+    assert_same_pairs(g)
+    assert not _c4_pairs(g).any()
+
+
+def test_pairs_when_the_highest_vertices_are_isolated():
+    # the bit rows are one word wide although 200 vertices need four
+    g = Graph(200, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 3)])
+    assert_same_pairs(g)
+    assert sorted(zip(*np.nonzero(_c4_pairs(g)))) == [(0, 2), (1, 3), (2, 0), (3, 1)]
+
+
+def test_pairs_need_exactly_two_common_neighbours():
+    # a star's leaves share one neighbour: no pairs
+    for k in (1, 2, 5):
+        assert not _c4_pairs(star(k)).any()
+    # K2,3: each side's pairs share the other side (2 or 3 common neighbours)
+    pairs = _c4_pairs(complete_bipartite(2, 3))
+    expected = np.zeros((5, 5), dtype=bool)
+    expected[:2, :2] = expected[2:, 2:] = True
+    np.fill_diagonal(expected, False)
+    assert np.array_equal(pairs, expected)
+    # C4: the two diagonals, each with exactly two common neighbours
+    assert sorted(zip(*np.nonzero(_c4_pairs(cycle(4))))) == [(0, 2), (1, 3), (2, 0), (3, 1)]
+    for g in (star(5), complete_bipartite(2, 3), cycle(4), complete_bipartite(3, 4)):
+        assert_same_pairs(g)
+
+
+def test_pairs_match_the_codegree_product_on_1000_vertex_sample():
+    assert_same_pairs(sample_approximation(2, EPS5, 500, 1).graph)
+
+
+def test_pairs_peak_memory_stays_below_four_bytes_per_vertex_pair():
+    # the float32 codegree product peaks at 36 MB here
+    g = sample_approximation(2, EPS5, 1000, 1).graph
+    tracemalloc.start()
+    try:
+        _c4_pairs(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * g.n * g.n, peak
 
 
 def test_pullback_matches_reference_on_colorings_and_subgraphs():
