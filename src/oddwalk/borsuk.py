@@ -239,6 +239,8 @@ class ApproxGraph:
 def sample_approximation(n: int, eps: float, count: int, seed: int) -> ApproxGraph:
     """Uniform sample of `count` points (plus exact antipodes) with edges at
     threshold eps; bit-for-bit deterministic in (n, eps, count, seed)."""
+    if n < 1:  # checked before drawing: with no coordinates no draw has a norm
+        raise InputError("sphere dimension must be at least 1")
     if count < 1:
         raise InputError("need at least one point")
     stream = Stream(seed)

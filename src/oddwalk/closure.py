@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import HypothesisError, InputError, ParseError, ViolationError
-from .graph import Graph, canon_edge, csr_rows, is_bipartite, pack_rows
+from .graph import Graph, canon_edge, csr_rows, degree_steps, is_bipartite, pack_rows
 
 
 @dataclass(frozen=True)
@@ -201,18 +201,15 @@ def _dense_components(adjacent: np.ndarray) -> np.ndarray:
 def _c4_pairs(h: Graph) -> np.ndarray:
     """Boolean n x n matrix of the vertex pairs u != w with at least two
     common neighbors, by exact integer work on bit rows (`pack_rows`), no
-    BLAS call.  Step k ORs the k-th neighbour's row of every vertex into
-    `one`; a bit that `one` already holds marks a second common neighbour
-    in `two`.  Vertices go in descending degree, so those still stepping
-    are a prefix.  O(m n / 64) word operations, O(n^2) bits."""
+    BLAS call.  Step k of `degree_steps` ORs the k-th neighbour's row of
+    every vertex into `one`, as `or_rows` does; a bit that `one` already
+    holds marks a second common neighbour in `two`.  O(m n / 64) word
+    operations, O(n^2) bits."""
     rows = pack_rows(h.indptr, h.indices)
-    degree = np.diff(h.indptr)
-    order = np.argsort(-degree, kind="stable")
-    starts = h.indptr[:-1][order]
+    order, steps = degree_steps(h.indptr[:-1], h.indptr[1:], h.indices)
     one, two = np.zeros_like(rows), np.zeros_like(rows)
-    for k in range(int(degree.max(initial=0))):
-        c = int(np.count_nonzero(degree > k))
-        x = rows[h.indices[starts[:c] + k]]
+    for heads in steps:
+        c, x = len(heads), rows.take(heads, axis=0)
         two[:c] |= one[:c] & x
         one[:c] |= x
     two = two[np.argsort(order)].astype("<u8", copy=False)

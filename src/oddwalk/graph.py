@@ -40,7 +40,7 @@ MAX_VERTICES = 10**6
 # check first; its bit rows take n * n / 8 bytes per copy
 ODD_WALK_CHECK_MAX_VERTICES = 2**14
 # rows that Graph.bit_rows packs at once, on the first read of any of them,
-# and roots that shortest_odd_cycle searches at once, one bit column each
+# and roots that shortest_odd_cycle searches at once, one or_rows bit column each
 ROW_BLOCK = 1024
 
 
@@ -75,6 +75,25 @@ def pack_rows(
         np.left_shift(np.uint64(1), bits, out=bits)
         words[keys[starts]] = np.bitwise_or.reduceat(bits, starts)
     return words.reshape(hi - lo, width)
+
+
+def degree_steps(starts, ends, indices: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The rows indices[starts[i]:ends[i]] by descending length (stable),
+    `order`, and for each step k the k-th entry of every row longer than k
+    in that order: the rows still stepping are a prefix of `order`."""
+    lengths = ends - starts
+    order = np.argsort(-lengths, kind="stable")
+    longer = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+    return order, [indices[starts[order[:c]] + k] for k, c in enumerate(longer.tolist())]
+
+
+def or_rows(words: np.ndarray, steps: list[np.ndarray], count: int) -> np.ndarray:
+    """Row p of `count` rows is the OR of the rows of `words` listed in the
+    p-th row of a `degree_steps` order (zero for an empty row), by steps."""
+    out = np.zeros((count, words.shape[1]), dtype=words.dtype)
+    for x in steps:
+        out[: len(x)] |= words.take(x, axis=0)
+    return out
 
 
 class BitRows(dict):
@@ -395,10 +414,11 @@ def shortest_odd_cycle(g: Graph) -> Optional[list[int]]:
     The roots are searched in ascending blocks of ROW_BLOCK, a block's BFSes
     in one pass: bit j of row u of `layer` is set iff u is at distance k
     from root lo + j, and each round ORs the layer rows of u's neighbours
-    into reached[u].  Bit j of the OR over u of layer[u] & reached[u] is
-    set iff layer k of root lo + j holds an edge.  A block stops there,
-    when its layers are all empty, or once 2k + 1 reaches the best length;
-    its lowest set bit is its smallest shortest root, and only a strictly
+    into reached[u] by `or_rows`, rows held in its step order (u's at
+    rank[u]).  Bit j of the OR over u of layer[u] & reached[u] is set iff
+    layer k of root lo + j holds an edge.  A block stops there, when its
+    layers are all empty, or once 2k + 1 reaches the best length; its
+    lowest set bit is its smallest shortest root, and only a strictly
     shorter block replaces the best, so the smallest root among the
     shortest wins.  Its walk is the double-cover BFS walk of
     `double_cover_odd_walk`.  Shortest odd closed walks never repeat
@@ -406,24 +426,17 @@ def shortest_odd_cycle(g: Graph) -> Optional[list[int]]:
     """
     best_length: float = INFINITE
     best_root: Optional[int] = None
-    # the darts in runs of 32 per root, so one run's gather is 4 MB at 1,024
-    # roots; `starts` are the offsets in a run where a row's darts begin (0
-    # too, as a row may go on from the run before) and `rows` those rows
-    tails, runs = csr_rows(g.indptr), []
-    for a in range(0, len(tails), 32 * ROW_BLOCK):
-        part = tails[a : a + 32 * ROW_BLOCK]
-        starts = np.flatnonzero(np.diff(part, prepend=-1))
-        runs.append((g.indices[a : a + len(part)], starts, part[starts]))
+    order, steps = degree_steps(g.indptr[:-1], g.indptr[1:], g.indices)
+    rank = np.argsort(order)
+    steps = [rank[heads] for heads in steps]
     for lo in range(0, g.n, ROW_BLOCK):
         roots = np.arange(min(ROW_BLOCK, g.n - lo))
         layer = np.zeros((g.n, (len(roots) + 63) // 64), dtype=np.uint64)
-        layer[lo + roots, roots >> 6] = np.uint64(1) << (roots & 63).astype(np.uint64)
+        layer[rank[lo + roots], roots >> 6] = np.uint64(1) << (roots & 63).astype(np.uint64)
         unseen = ~layer
         k = 0
         while 2 * k + 1 < best_length and layer.any():
-            reached = np.zeros_like(layer)
-            for heads, starts, rows in runs:
-                reached[rows] |= np.bitwise_or.reduceat(layer[heads], starts, axis=0)
+            reached = or_rows(layer, steps, g.n)
             inner = np.bitwise_or.reduce(layer & reached, axis=0)
             if inner.any():
                 word = int(np.flatnonzero(inner)[0])
@@ -533,10 +546,11 @@ def odd_walk_free(indptr: np.ndarray, indices: np.ndarray, length: int) -> bool:
     iff some edge (u, w) has S_k[u] and S_k[w] meeting.  Each S_j is a
     matrix of bit rows packed into 64-bit words: S_1 is `pack_rows` of
     the CSR rows, and each of the k - 1 rounds ORs the rows of u's
-    neighbours into S_{j+1}[u].  The edge test ORs S_k over the neighbours
-    w >= u and ANDs it with S_k[u].  The check is exact integer work with
-    no bound on the vertex count; it takes n * n / 8 bytes per bit matrix
-    (Itai & Rodeh, SIAM J. Comput. 1978, for odd girth by reachability).
+    neighbours into S_{j+1}[u] (`or_rows`).  The edge test ORs S_k over
+    the neighbours w >= u, by `or_rows` too, and ANDs it with S_k[u].  The
+    check is exact integer work with no bound on the vertex count; it
+    takes n * n / 8 bytes per bit matrix (Itai & Rodeh, SIAM J. Comput.
+    1978, for odd girth by reachability).
 
     When u -> u ^ 1 is an automorphism (`mirrored`, as on every sphere
     sample), S_j[u ^ 1] is S_j[u] with bits 2t and 2t + 1 swapped, so each
@@ -551,15 +565,16 @@ def odd_walk_free(indptr: np.ndarray, indices: np.ndarray, length: int) -> bool:
     if length == 1:
         return not np.any(indices == csr_rows(indptr))
     words = pack_rows(indptr, indices)
-    rows = slice(0, n, 2) if mirrored(indptr, indices) else slice(0, n)
-    starts, ends = indptr[:-1][rows], indptr[1:][rows]
+    rows = np.arange(0, n, 2 if mirrored(indptr, indices) else 1)
+    order, steps = degree_steps(indptr[:-1][rows], indptr[1:][rows], indices)
     for _ in range(length // 2 - 1):
-        words[rows] = _or_of_rows(words, starts, ends, indices)
-        if rows.step == 2:
+        words[rows[order]] = or_rows(words, steps, len(rows))
+        if len(rows) < n:  # mirrored
             words[1::2] = _swap_pairs(words[0::2])
     tails = csr_rows(indptr)
     above = (indptr[:-1] + np.bincount(tails[indices < tails], minlength=n))[rows]
-    return not np.bitwise_and(words[rows], _or_of_rows(words, above, ends, indices)).any()
+    order, steps = degree_steps(above, indptr[1:][rows], indices)
+    return not np.bitwise_and(words[rows[order]], or_rows(words, steps, len(rows))).any()
 
 
 def _swap_pairs(words: np.ndarray) -> np.ndarray:
@@ -583,15 +598,6 @@ def mirrored(indptr: np.ndarray, indices: np.ndarray) -> bool:
     tails = csr_rows(indptr)
     mirror = np.sort((tails ^ 1) * n + (indices ^ 1), kind="stable")
     return np.array_equal(mirror, tails * n + indices)
-
-
-def _or_of_rows(words: np.ndarray, starts, ends, indices: np.ndarray) -> np.ndarray:
-    """Row i of the result is the OR of the rows of `words` listed in
-    indices[starts[i]:ends[i]] (all zero for an empty slice)."""
-    out = np.empty((len(starts), words.shape[1]), dtype=words.dtype)
-    for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
-        np.bitwise_or.reduce(words[indices[a:b]], axis=0, out=out[i])
-    return out
 
 
 # ---------------------------------------------------------------------------

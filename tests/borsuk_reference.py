@@ -6,10 +6,13 @@ to `max_odd`, one general matrix product per step: the version the
 library used before it checked the single longest odd length through one
 symmetric even power.  `dense_odd_walk_free` is that single-length check
 on bit rows packed from a dense 0/1 matrix, before the kernel read the
-graph's compressed sparse rows.  `row_built_sample_graph` is the sample
-graph as it was built before the Gram blocks went straight to CSR arrays:
-one Python tuple of neighbours per vertex.  test_borsuk.py requires the
-library to give the same verdicts and equal graphs.
+graph's compressed sparse rows.  Its `_or_of_rows`, one OR per row, is
+the library's neighbour-OR before `graph.or_rows` took every row one
+neighbour per step; test_borsuk.py checks `or_rows` against it.
+`row_built_sample_graph` is the sample graph as it was built before the
+Gram blocks went straight to CSR arrays: one Python tuple of neighbours
+per vertex.  test_borsuk.py requires the library to give the same
+verdicts and equal graphs.
 """
 
 import math

@@ -37,10 +37,13 @@ from oddwalk import graph as graph_module
 from oddwalk.graph import (
     INFINITE,
     Graph,
+    csr_rows,
+    degree_steps,
     has_cycle_of_length,
     mirrored,
     odd_girth,
     odd_walk_free,
+    or_rows,
 )
 from oddwalk.rng import Stream, derive_seed
 
@@ -292,6 +295,56 @@ def test_odd_walk_kernel_matches_reference_on_random_graphs(g):
         assert odd_walk_free(g.indptr, g.indices, length) == (girth == INFINITE or girth > length)
 
 
+# the neighbour-OR kernel behind odd_walk_free, shortest_odd_cycle and the
+# 4-cycle pairs, against the per-row reference
+
+
+def check_or_rows(g):
+    """On every row selection odd_walk_free takes (all rows or the even
+    ones, each whole or from the neighbours w >= u on), the steps count the
+    rows longer than k in a stable descending order, and or_rows, put back
+    in row order, is the reference's OR of the same slices."""
+    words = np.random.default_rng(g.n).integers(0, 2**64, size=(g.n, 2), dtype=np.uint64)
+    tails = csr_rows(g.indptr)
+    above = g.indptr[:-1] + np.bincount(tails[g.indices < tails], minlength=g.n)
+    for rows in (np.arange(g.n), np.arange(0, g.n, 2)):
+        ends = g.indptr[1:][rows]
+        for starts in (g.indptr[:-1][rows], above[rows]):
+            lengths = (ends - starts).tolist()
+            order, steps = degree_steps(starts, ends, g.indices)
+            assert order.tolist() == sorted(range(len(rows)), key=lambda i: -lengths[i])
+            longer = [sum(length > k for length in lengths) for k in range(max(lengths, default=0))]
+            assert [len(x) for x in steps] == longer
+            got = np.empty((len(rows), 2), dtype=np.uint64)
+            got[order] = or_rows(words, steps, len(rows))
+            slices = [g.indices[a:b] for a, b in zip(starts, ends)]
+            assert np.array_equal(got, ref._or_of_rows(words, slices)[: len(rows)])
+
+
+OR_ROWS_CORPUS = [
+    Graph(0, []),
+    Graph(5, []),  # empty rows only
+    Graph(9, [(2, 3), (3, 4), (6, 8)]),  # empty rows among short ones
+    Graph(7, [(0, v) for v in range(1, 7)]),  # a star
+    Graph(7, [(6, v) for v in range(6)]),  # a star centred on the last vertex
+    cycle(7),  # equal degrees
+    petersen(),
+    example7(),
+    random_graph(140, 0.05, 3),
+]
+
+
+@pytest.mark.parametrize("index", range(len(OR_ROWS_CORPUS)))
+def test_or_rows_matches_reference_on_corpus(index):
+    check_or_rows(OR_ROWS_CORPUS[index])
+
+
+@given(small_graphs())
+@settings(max_examples=120, deadline=None)
+def test_or_rows_matches_reference_on_random_graphs(g):
+    check_or_rows(g)
+
+
 @st.composite
 def signed_covers(draw):
     """The signed double cover of a small graph: a + edge ab lifts to 2a 2b
@@ -308,10 +361,10 @@ def signed_covers(draw):
 
 def or_rows_seen(check, *args):
     """check(*args) and the row count of every call it makes to
-    odd_walk_free's _or_of_rows."""
-    with mock.patch.object(graph_module, "_or_of_rows", wraps=graph_module._or_of_rows) as spy:
+    odd_walk_free's or_rows."""
+    with mock.patch.object(graph_module, "or_rows", wraps=graph_module.or_rows) as spy:
         result = check(*args)
-    return result, {len(call.args[1]) for call in spy.call_args_list}
+    return result, {call.args[2] for call in spy.call_args_list}
 
 
 def edge_set_mirrored(g):

@@ -1,12 +1,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 from graphs import complete, cycle, petersen
+import oddwalk
 from oddwalk import cli
+from oddwalk.borsuk import sample_approximation
 from oddwalk.cli import FAILURE, INTERNAL_ERROR, USAGE_ERROR, parse_epsilon, run_cli
 from oddwalk.closure import GraphHom, parse_hom
 from oddwalk.errors import InputError
@@ -68,6 +72,25 @@ def test_usage_error_exit_codes(tmp_path):
     ):
         code, report = run_cli(argv)
         assert (code, report["kind"]) == (USAGE_ERROR, "InputError"), argv
+
+
+def test_gen_borsuk_refuses_sphere_dimension_below_one(tmp_path):
+    # a sphere of dimension -1 has no coordinates to draw, so a sampler that
+    # redraws zero-norm points never returns: run the command in its own
+    # process under a timeout, so that a hang fails the test
+    src = os.path.dirname(os.path.dirname(oddwalk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for n in ("-1", "0"):
+        out = tmp_path / f"n{n}.json"
+        argv = ["gen-borsuk", "--n", n, "--r", "2", "--N", "3", "--json", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-m", "oddwalk", *argv], env=env, capture_output=True, timeout=60
+        )
+        assert done.returncode == USAGE_ERROR, n
+        report = json.loads(out.read_text())
+        assert report == {"error": "sphere dimension must be at least 1", "kind": "InputError"}
+    with pytest.raises(InputError, match="sphere dimension"):
+        sample_approximation(-1, math.pi / 5, 3, 1)
 
 
 def test_internal_error_gets_its_own_exit_code_and_report(tmp_path, monkeypatch, capsys):

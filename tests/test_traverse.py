@@ -95,8 +95,7 @@ ROOT_BLOCKS = (1, 3, 64, 65, 1024)
 
 def check_shortest_odd_cycle(g, blocks=ROOT_BLOCKS):
     """The bit-column search returns the reference's cycle whatever the
-    root block; blocks of 1 and 3 roots also cut the darts into runs of 32
-    and 96, so most rows of a larger graph are split between two runs."""
+    root block."""
     want = ref.shortest_odd_cycle(g)
     with pytest.MonkeyPatch.context() as patch:
         for block in blocks:
@@ -525,7 +524,7 @@ def test_shortest_odd_cycle_in_a_later_block_and_a_tie_after_it(block):
 def test_shortest_odd_cycle_keeps_memory_linear():
     # 10,000 disjoint triangles: 30 root blocks of one or two rounds each.
     # Dense bit rows would take n / 8 bytes per vertex (112 MB here); the
-    # search keeps a few n x 16-word matrices and one run of darts
+    # search keeps a few n x 16-word matrices and one copy of the darts
     n = 30_000
     g = Graph(n, [e for a in range(0, n, 3) for e in ((a, a + 1), (a, a + 2), (a + 1, a + 2))])
     g.sorted_adj  # the graph's own view, which the closing walk reads
