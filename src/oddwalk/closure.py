@@ -12,6 +12,7 @@ functionals useful as separators and as the engine of the pivot-edge search.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -19,7 +20,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import HypothesisError, InputError, ParseError, ViolationError
-from .graph import Graph, canon_edge, csr_rows, degree_steps, is_bipartite, pack_rows
+from .graph import Graph, canon_edge, csr_rows, degree_steps, int_rows, is_bipartite, pack_rows
+from .traverse import _members
 
 
 @dataclass(frozen=True)
@@ -142,14 +144,20 @@ class ClosurePartition:
     classes: tuple[frozenset, ...]
 
     def class_id(self, e: tuple[int, int]) -> int:
-        return self.class_of[canon_edge(*e)]
+        try:
+            return self.class_of[canon_edge(*e)]
+        except KeyError:
+            raise InputError(f"{tuple(e)} is not an edge of the partitioned graph") from None
 
     def class_edges(self, e: tuple[int, int]) -> frozenset:
         return self.classes[self.class_id(e)]
 
     def is_stable(self, edge_set: frozenset) -> bool:
-        """True iff the set is a union of whole classes."""
-        hits = Counter(self.class_of[e] for e in edge_set)
+        """True iff the set is a union of whole classes; False on a pair not in class_of."""
+        try:
+            hits = Counter(self.class_of[e] for e in edge_set)
+        except KeyError:
+            return False
         return all(len(self.classes[cid]) == k for cid, k in hits.items())
 
     def dump(self) -> str:
@@ -184,27 +192,13 @@ def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             labels = jumped
 
 
-def _dense_components(adjacent: np.ndarray) -> np.ndarray:
-    """Smallest index in each row's component of a symmetric boolean
-    matrix, by min-label propagation with pointer jumping (faster than
-    `_components` on the dense wedge matrices of one vertex)."""
-    d = len(adjacent)
-    labels = np.arange(d)
-    while True:
-        step = np.minimum(labels, np.where(adjacent, labels, d).min(axis=1))
-        step = step[step]
-        if np.array_equal(step, labels):
-            return labels
-        labels = step
-
-
-def _c4_pairs(h: Graph) -> np.ndarray:
-    """Boolean n x n matrix of the vertex pairs u != w with at least two
-    common neighbors, by exact integer work on bit rows (`pack_rows`), no
-    BLAS call.  Step k of `degree_steps` ORs the k-th neighbour's row of
-    every vertex into `one`, as `or_rows` does; a bit that `one` already
-    holds marks a second common neighbour in `two`.  O(m n / 64) word
-    operations, O(n^2) bits."""
+def _c4_pairs(h: Graph) -> list[int]:
+    """Per vertex u, the int whose bit w is set for each w != u with at
+    least two neighbors in common with u, by exact integer work on bit rows
+    (`pack_rows`), no BLAS call.  Step k of `degree_steps` ORs the k-th
+    neighbour's row of every vertex into `one`, as `or_rows` does; a bit
+    that `one` already holds marks a second common neighbour in `two`.
+    O(m n / 64) word operations, O(n^2) bits."""
     rows = pack_rows(h.indptr, h.indices)
     order, steps = degree_steps(h.indptr[:-1], h.indptr[1:], h.indices)
     one, two = np.zeros_like(rows), np.zeros_like(rows)
@@ -212,19 +206,21 @@ def _c4_pairs(h: Graph) -> np.ndarray:
         c, x = len(heads), rows.take(heads, axis=0)
         two[:c] |= one[:c] & x
         one[:c] |= x
-    two = two[np.argsort(order)].astype("<u8", copy=False)
-    pairs = np.unpackbits(two.view(np.uint8), axis=1, count=h.n, bitorder="little").view(bool)
-    np.fill_diagonal(pairs, False)
-    return pairs
+    # a vertex of degree >= 2 shares all its neighbours with itself
+    return [row & ~(1 << u) for u, row in enumerate(int_rows(two[np.argsort(order)]))]
 
 
 def c4_bundles(h: Graph) -> list[tuple[int, int, list[int]]]:
     """Bundles (u, w, sorted common neighbors) for every pair u < w with at
-    least two common neighbors, pairs in lexicographic order.  Each bundle's
-    edges lie pairwise on shared 4-cycles, and the bundles generate the
-    4-cycle relation."""
-    us, ws = np.nonzero(np.triu(_c4_pairs(h), 1))
-    return [(u, w, sorted(h.adj[u] & h.adj[w])) for u, w in zip(us.tolist(), ws.tolist())]
+    least two common neighbors, in lexicographic order, read off the
+    `_c4_pairs` rows and ANDs of bit rows.  Each bundle's edges lie pairwise
+    on shared 4-cycles, and the bundles generate the 4-cycle relation."""
+    two, rows = _c4_pairs(h), h.bit_rows
+    return [
+        (u, w, list(_members(rows[u] & rows[w])))
+        for u, row in enumerate(two)
+        for w in _members(row >> (u + 1) << (u + 1))
+    ]
 
 
 def _c4_labels(h: Graph) -> np.ndarray:
@@ -233,32 +229,33 @@ def _c4_labels(h: Graph) -> np.ndarray:
     Edges (x, u) and (x, w) lie on a common 4-cycle x-u-y-w exactly when u
     and w have a common neighbor y other than x, i.e. codegree >= 2, and
     these wedges generate the relation (a bundle's edges are all joined
-    through wedges at u, w and the common neighbors).  At each vertex x only
-    a spanning forest of the wedges is merged: the edge to each neighbor
-    joins the edge to the smallest neighbor of its component in the
-    codegree >= 2 graph on N(x).  That is at most deg(x) - 1 pairs per
-    vertex, O(m) in all.
+    through wedges at u, w and the common neighbors).  At each vertex x a
+    wedge component of N(x) grows from its smallest member, the lowest bit
+    left in x's row, by ORing the `_c4_pairs` rows of its newest members
+    masked by the bits still left; the edge to each member joins the edge
+    to that root: deg(x) pairs at x, 2m in all.
     """
-    m = h.num_edges()
-    pairs = _c4_pairs(h)
-    us, ws = h.edge_ends()
-    # darts sorted by tail, then head: each vertex's sorted neighbors and edge ids
-    tail = np.concatenate([us, ws])
-    head = np.concatenate([ws, us])
-    order = np.lexsort((head, tail))
-    head, eid = head[order], np.tile(np.arange(m), 2)[order]
-    bounds = np.searchsorted(tail[order], np.arange(h.n + 1))
-    left, right = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    two, rows = _c4_pairs(h), h.bit_rows
+    darts = array("q")  # (w, root) per dart (x, w), in order of x; no int objects
     for x in range(h.n):
-        lo, hi = bounds[x], bounds[x + 1]
-        if hi - lo < 2:
-            continue
-        nbrs, ids = head[lo:hi], eid[lo:hi]
-        root = _dense_components(pairs[nbrs][:, nbrs])
-        moved = np.flatnonzero(root != np.arange(hi - lo))
-        left.append(ids[moved])
-        right.append(ids[root[moved]])
-    return _components(m, np.concatenate(left), np.concatenate(right))
+        left = rows[x]
+        while left:
+            frontier = left & -left
+            root = frontier.bit_length() - 1
+            while frontier:
+                left ^= frontier
+                reach = 0
+                for w in _members(frontier):
+                    reach |= two[w]
+                    darts.append(w)
+                    darts.append(root)
+                frontier = reach & left
+    # x in CSR order; (x, end) is found among the edge keys, ascending with the ids
+    tails = csr_rows(h.indptr)[:, None]
+    ends = np.frombuffer(darts, dtype=np.int64).reshape(-1, 2)
+    us, ws = h.edge_ends()
+    ids = np.searchsorted(us * h.n + ws, np.minimum(tails, ends) * h.n + np.maximum(tails, ends))
+    return _components(h.num_edges(), ids[:, 0], ids[:, 1])
 
 
 def _partition(owner: Graph, labels: np.ndarray) -> ClosurePartition:
@@ -275,9 +272,9 @@ def c4_partition(h: Graph) -> ClosurePartition:
     """Edge classes generated by co-membership in a 4-cycle.
 
     Built once per graph and cached on it.  Cost: O(m n / 64) bit-row word
-    operations for the codegree >= 2 pairs (no BLAS), O(deg(x)^2) array work
-    per vertex x for its wedge components (sum of deg^2, vectorised), and an
-    array union-find over O(m) pairs; memory O(n^2) bytes plus O(m).
+    operations for the codegree >= 2 rows (no BLAS), one OR of such a row
+    per dart to grow the wedge components, and one array union-find over
+    2m pairs; memory O(n^2) bits plus O(m).
     """
     if h._c4_partition is None:
         h._c4_partition = _partition(h, _c4_labels(h))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -96,6 +95,12 @@ def or_rows(words: np.ndarray, steps: list[np.ndarray], count: int) -> np.ndarra
     return out
 
 
+def int_rows(words: np.ndarray) -> list[int]:
+    """Each row of `pack_rows` words as one int, bit w from word w // 64."""
+    raw, size = words.astype("<u8", copy=False).tobytes(), 8 * words.shape[1]
+    return [int.from_bytes(raw[at : at + size], "little") for at in range(0, len(raw), size)]
+
+
 class BitRows(dict):
     """Vertex v -> the int whose bit w is set for each neighbour w of v.
 
@@ -115,10 +120,7 @@ class BitRows(dict):
         indptr = self.indptr
         lo = v - v % ROW_BLOCK
         hi = min(lo + ROW_BLOCK, len(indptr) - 1)
-        words = pack_rows(indptr, self.indices, lo, hi)
-        raw, size = words.astype("<u8", copy=False).tobytes(), 8 * words.shape[1]
-        chunks = [raw[at : at + size] for at in range(0, len(raw), size)]
-        self.update(zip(range(lo, hi), map(int.from_bytes, chunks, repeat("little"))))
+        self.update(zip(range(lo, hi), int_rows(pack_rows(indptr, self.indices, lo, hi))))
         cols = self.indices[indptr[lo] : indptr[hi]]
         tails = np.repeat(np.arange(hi - lo), np.diff(indptr[lo : hi + 1]))
         sums = np.bincount(tails, weights=indptr[cols + 1] - indptr[cols], minlength=hi - lo)

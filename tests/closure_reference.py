@@ -1,15 +1,26 @@
 """Reference implementations of the 4-cycle closure kernels.
 
-These are the dictionary union-find versions that `oddwalk.closure` and
-`oddwalk.coloring` used before the array kernel, and the codegree matrix
-product that found its vertex pairs before the bit-row kernel; the
-differential tests in test_closure_kernel.py require the library to agree
-with them exactly: same pairs, same class numbering, same class contents,
-same bundle order.
+Three generations of the library's kernel, each the reference of the next:
+- the dictionary union-find versions that `oddwalk.closure` and
+  `oddwalk.coloring` used before the array kernel (`c4_partition`,
+  `phi_partition`, `c4_bundles`), the semantic reference;
+- the codegree matrix product that found the vertex pairs with two common
+  neighbours before the bit-row kernel (`c4_pairs`);
+- the array kernel that merged a spanning forest of each vertex's wedges
+  from dense per-vertex wedge matrices, with its own min-label union-find,
+  before the wedge components grew on the codegree bit rows with one
+  union-find (`c4_labels`, `dense_components`), the scale reference: it
+  handles samples of thousands of vertices, where the dictionary versions
+  would take minutes.
+
+The differential tests in test_closure_kernel.py require the library to
+agree with them exactly: same pairs, same per-edge labels, same class
+numbering, same class contents, same bundle order.
 """
 
 import numpy as np
 
+from oddwalk.closure import _components
 from oddwalk.graph import canon_edge, csr_rows
 
 
@@ -34,11 +45,12 @@ class UnionFind:
             self.parent[rb] = ra
 
 
-def finish_partition(uf, keys):
-    """(classes, class_of): classes ordered by their smallest edge."""
+def finish_partition(find, keys):
+    """(classes, class_of): the keys grouped by `find`, classes ordered by
+    their smallest edge."""
     groups = {}
     for e in keys:
-        groups.setdefault(uf.find(e), []).append(e)
+        groups.setdefault(find(e), []).append(e)
     ordered = sorted(groups.values(), key=lambda es: min(es))
     class_of = {}
     classes = []
@@ -61,7 +73,7 @@ def c4_partition(h):
             first = bundle[0]
             for e in bundle[1:]:
                 uf.union(first, e)
-    return finish_partition(uf, h.edges)
+    return finish_partition(uf.find, h.edges)
 
 
 def phi_partition(phi):
@@ -79,7 +91,7 @@ def phi_partition(phi):
                     uf.union(incident[v], e)
                 else:
                     incident[v] = e
-    return finish_partition(uf, phi.source.edges)
+    return finish_partition(uf.find, phi.source.edges)
 
 
 def c4_bundles(h):
@@ -111,3 +123,48 @@ def c4_pairs(h):
     pairs = (a @ a) >= 2
     np.fill_diagonal(pairs, False)
     return pairs
+
+
+def labels_partition(h, labels):
+    """(classes, class_of) of the edges of h from one label per edge id."""
+    return finish_partition(dict(zip(h.edges, labels.tolist())).__getitem__, h.edges)
+
+
+def dense_components(adjacent):
+    """Smallest index in each row's component of a symmetric boolean
+    matrix, by min-label propagation with pointer jumping."""
+    d = len(adjacent)
+    labels = np.arange(d)
+    while True:
+        step = np.minimum(labels, np.where(adjacent, labels, d).min(axis=1))
+        step = step[step]
+        if np.array_equal(step, labels):
+            return labels
+        labels = step
+
+
+def c4_labels(h):
+    """Per edge id, the smallest edge id of its class: at each vertex x the
+    edge to each neighbour joins the edge to the smallest neighbour of its
+    component in the codegree >= 2 graph on N(x), found on the dense
+    `c4_pairs(h)[nbrs][:, nbrs]` wedge matrix (sum of deg^2 cells)."""
+    m = h.num_edges()
+    pairs = c4_pairs(h)
+    us, ws = h.edge_ends()
+    # darts sorted by tail, then head: each vertex's sorted neighbors and edge ids
+    tail = np.concatenate([us, ws])
+    head = np.concatenate([ws, us])
+    order = np.lexsort((head, tail))
+    head, eid = head[order], np.tile(np.arange(m), 2)[order]
+    bounds = np.searchsorted(tail[order], np.arange(h.n + 1))
+    left, right = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for x in range(h.n):
+        lo, hi = bounds[x], bounds[x + 1]
+        if hi - lo < 2:
+            continue
+        nbrs, ids = head[lo:hi], eid[lo:hi]
+        root = dense_components(pairs[nbrs][:, nbrs])
+        moved = np.flatnonzero(root != np.arange(hi - lo))
+        left.append(ids[moved])
+        right.append(ids[root[moved]])
+    return _components(m, np.concatenate(left), np.concatenate(right))

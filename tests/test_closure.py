@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -200,6 +201,35 @@ def test_eval_rejects_unstable_set():
     f = EdgeMultiset.from_walk_vertices(k4, [0, 1, 0])
     with pytest.raises(InputError, match="not a union"):
         eval_invariant(InvariantSpec(frozenset({(0, 1)}), None), f, phi)
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (2, 0)])
+def test_non_edges_are_never_stable_and_have_no_class(pair):
+    c4 = cycle(4)
+    part = c4_partition(c4)
+    f = EdgeMultiset.from_walk_vertices(c4, [0, 1, 2, 3, 0])
+    assert not part.is_stable(frozenset({pair}))
+    assert not part.is_stable(frozenset(c4.edges) | {pair})
+    with pytest.raises(InputError, match="not a union"):
+        eval_invariant(InvariantSpec(frozenset({pair})), f, GraphHom.identity(c4))
+    for lookup in (part.class_id, part.class_edges):
+        with pytest.raises(InputError, match=re.escape(f"{pair} is not an edge")):
+            lookup(pair)
+
+
+def test_a_reversed_edge_has_a_class_but_is_no_member_of_a_stable_set():
+    c4 = cycle(4)
+    part = c4_partition(c4)
+    assert part.class_id((1, 0)) == part.class_id((0, 1)) == 0
+    assert part.class_edges((3, 0)) == frozenset(c4.edges)
+    assert part.is_stable(frozenset(c4.edges))
+    assert not part.is_stable(frozenset({(1, 0)}))
+    with pytest.raises(InputError, match="not a union"):
+        eval_invariant(
+            InvariantSpec(frozenset({(1, 0), (1, 2), (2, 3), (0, 3)})),
+            EdgeMultiset.from_walk_vertices(c4, [0, 1, 0]),
+            GraphHom.identity(c4),
+        )
 
 
 def test_eval_additive_over_multiset_sum():

@@ -1,9 +1,10 @@
-"""Differential and cache tests for the array-backed closure kernel.
+"""Differential and cache tests for the bit-row closure kernel.
 
-`closure_reference` keeps the pure-Python union-find kernels and the
-codegree matrix product; the library must reproduce their vertex pairs,
-class numbering, class contents (insertion order included, so frozenset
-iteration order matches too) and bundle order.
+`closure_reference` keeps the pure-Python union-find kernels, the codegree
+matrix product and the dense per-vertex wedge kernel; the library must
+reproduce their vertex pairs, per-edge labels, class numbering, class
+contents (insertion order included, so frozenset iteration order matches
+too) and bundle order.
 """
 
 import math
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import closure_reference as ref
 from graphs import complete, cycle, example7, fuzz_corpus, path, petersen, random_graph, small_graphs
 from oddwalk.borsuk import sample_approximation, tetrahedral_hom
-from oddwalk.closure import GraphHom, _c4_pairs, c4_bundles, c4_partition, phi_partition
+from oddwalk.closure import GraphHom, _c4_labels, _c4_pairs, c4_bundles, c4_partition, phi_partition
 from oddwalk.graph import Graph, canon_edge
 
 EPS5 = math.pi / 5
@@ -33,14 +34,22 @@ def assert_same_partition(part, expected):
     assert list(part.class_of) == list(class_of)
 
 
+def pair_list(rows):
+    """The (u, w) with bit w set in row u, in lexicographic order."""
+    return [(u, w) for u, row in enumerate(rows) for w in range(row.bit_length()) if row >> w & 1]
+
+
 def assert_same_pairs(g):
-    pairs = _c4_pairs(g)
-    assert pairs.dtype == bool
-    assert np.array_equal(pairs, ref.c4_pairs(g))
+    rows = _c4_pairs(g)
+    assert len(rows) == g.n and all(type(row) is int and 0 <= row < 1 << g.n for row in rows)
+    expected = ref.c4_pairs(g)
+    for u, row in enumerate(rows):
+        assert [row >> w & 1 == 1 for w in range(g.n)] == expected[u].tolist(), u
 
 
 def check_graph(g):
     assert_same_pairs(g)
+    assert np.array_equal(_c4_labels(g), ref.c4_labels(g))
     assert_same_partition(c4_partition(g), ref.c4_partition(g))
     assert_same_partition(phi_partition(GraphHom.identity(g)), ref.phi_partition(GraphHom.identity(g)))
     assert c4_bundles(g) == ref.c4_bundles(g)
@@ -116,28 +125,26 @@ def test_pairs_match_the_codegree_product_at_word_boundaries(n):
 )
 def test_pairs_on_tiny_and_edgeless_graphs(g):
     assert_same_pairs(g)
-    assert not _c4_pairs(g).any()
+    assert not any(_c4_pairs(g))
 
 
 def test_pairs_when_the_highest_vertices_are_isolated():
     # the bit rows are one word wide although 200 vertices need four
     g = Graph(200, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 3)])
     assert_same_pairs(g)
-    assert sorted(zip(*np.nonzero(_c4_pairs(g)))) == [(0, 2), (1, 3), (2, 0), (3, 1)]
+    assert pair_list(_c4_pairs(g)) == [(0, 2), (1, 3), (2, 0), (3, 1)]
 
 
 def test_pairs_need_exactly_two_common_neighbours():
     # a star's leaves share one neighbour: no pairs
     for k in (1, 2, 5):
-        assert not _c4_pairs(star(k)).any()
+        assert not any(_c4_pairs(star(k)))
     # K2,3: each side's pairs share the other side (2 or 3 common neighbours)
-    pairs = _c4_pairs(complete_bipartite(2, 3))
-    expected = np.zeros((5, 5), dtype=bool)
-    expected[:2, :2] = expected[2:, 2:] = True
-    np.fill_diagonal(expected, False)
-    assert np.array_equal(pairs, expected)
+    sides = [range(2), range(2, 5)]
+    expected = [(u, w) for side in sides for u in side for w in side if u != w]
+    assert pair_list(_c4_pairs(complete_bipartite(2, 3))) == sorted(expected)
     # C4: the two diagonals, each with exactly two common neighbours
-    assert sorted(zip(*np.nonzero(_c4_pairs(cycle(4))))) == [(0, 2), (1, 3), (2, 0), (3, 1)]
+    assert pair_list(_c4_pairs(cycle(4))) == [(0, 2), (1, 3), (2, 0), (3, 1)]
     for g in (star(5), complete_bipartite(2, 3), cycle(4), complete_bipartite(3, 4)):
         assert_same_pairs(g)
 
@@ -156,6 +163,37 @@ def test_pairs_peak_memory_stays_below_four_bytes_per_vertex_pair():
     finally:
         tracemalloc.stop()
     assert peak < 4 * g.n * g.n, peak
+
+
+def test_labels_match_the_dense_wedge_kernel_on_2000_vertex_sample():
+    g = sample_approximation(2, EPS5, 1000, 1).graph  # 190,782 edges, one class
+    labels = _c4_labels(g)
+    assert np.array_equal(labels, ref.c4_labels(g))
+    assert_same_partition(c4_partition(g), ref.labels_partition(g, labels))
+    assert len(c4_partition(g).classes) == 1
+
+
+def test_wedge_components_whose_roots_are_not_the_smallest_neighbour():
+    # three 4-cycles through vertex 0, on interleaved neighbours: N(0)
+    # splits into the wedge components {1, 4}, {2, 5} and {3, 6}, whose
+    # roots 2 and 3 are not 0's smallest neighbour 1
+    g = Graph(10, [(0, 1), (1, 7), (7, 4), (4, 0), (0, 2), (2, 8), (8, 5), (5, 0),
+                   (0, 3), (3, 9), (9, 6), (6, 0)])
+    check_graph(g)
+    part = c4_partition(g)
+    assert [sorted(c) for c in part.classes] == [
+        [(0, 1), (0, 4), (1, 7), (4, 7)],
+        [(0, 2), (0, 5), (2, 8), (5, 8)],
+        [(0, 3), (0, 6), (3, 9), (6, 9)],
+    ]
+
+
+def test_c4_partition_builds_no_tuple_or_set_views():
+    g = sample_approximation(2, EPS5, 150, 1).graph
+    c4_partition(g)
+    for name in ("sorted_adj", "adj"):
+        with pytest.raises(AttributeError):
+            object.__getattribute__(g, name)  # an unset slot; a plain read would build it
 
 
 def test_pullback_matches_reference_on_colorings_and_subgraphs():
