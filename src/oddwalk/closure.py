@@ -210,19 +210,6 @@ def _c4_pairs(h: Graph) -> list[int]:
     return [row & ~(1 << u) for u, row in enumerate(int_rows(two[np.argsort(order)]))]
 
 
-def c4_bundles(h: Graph) -> list[tuple[int, int, list[int]]]:
-    """Bundles (u, w, sorted common neighbors) for every pair u < w with at
-    least two common neighbors, in lexicographic order, read off the
-    `_c4_pairs` rows and ANDs of bit rows.  Each bundle's edges lie pairwise
-    on shared 4-cycles, and the bundles generate the 4-cycle relation."""
-    two, rows = _c4_pairs(h), h.bit_rows
-    return [
-        (u, w, list(_members(rows[u] & rows[w])))
-        for u, row in enumerate(two)
-        for w in _members(row >> (u + 1) << (u + 1))
-    ]
-
-
 def _c4_labels(h: Graph) -> np.ndarray:
     """Per edge id (index into h.edges), the smallest edge id of its class.
 

@@ -22,7 +22,7 @@ from typing import Optional
 from .closure import (
     GraphHom,
     InvariantSpec,
-    c4_bundles,
+    _c4_pairs,
     c4_partition,
     find_pivot_edge,
     phi_partition,
@@ -43,7 +43,7 @@ from .graph import (
     odd_girth,
 )
 from .homotopy import Walk
-from .traverse import bfs, depths, path_to_root, simple_path_dfs
+from .traverse import _members, bfs, depths, path_to_root, simple_path_dfs
 
 PRODUCT_4COLOR = "PRODUCT_4COLOR"
 EXTENSION = "EXTENSION"
@@ -479,30 +479,35 @@ def _bundle_c4(u, w, common, e1, e2):
 
 def c4_chain(h: Graph, start_edges, goal: tuple[int, int]):
     """Shortest chain of edges start -> goal where consecutive edges share a
-    4-cycle; returns [(edge, four_cycle, edge), ...] or None."""
+    4-cycle; returns [(edge, four_cycle, edge), ...] or None.  A bundle
+    (u, w, common neighbors), whose edges lie pairwise on shared 4-cycles,
+    opens when the BFS first expands one of its edges."""
     goal = canon_edge(*goal)
     starts = sorted(canon_edge(*e) for e in start_edges)
     if goal in starts:
         return []
-    bundles = c4_bundles(h)
-    edge_bundles: dict[tuple[int, int], list[int]] = {}
-    for idx, (u, w, common) in enumerate(bundles):
-        for x in common:
-            for hub in (u, w):
-                edge_bundles.setdefault(canon_edge(hub, x), []).append(idx)
+    two, rows = _c4_pairs(h), h.bit_rows
 
-    def members(idx):
-        u, w, common = bundles[idx]
+    def bundles(e):
+        # (a, b) lies in bundle (a, w) iff w pairs with a and neighbors b;
+        # the pairs in lexicographic order, none for a non-edge
+        a, b = e
+        hubs = [(a, b), (b, a)] if rows[a] >> b & 1 else []
+        return sorted(canon_edge(x, w) for x, y in hubs for w in _members(two[x] & rows[y]))
+
+    def members(pair):
+        u, w = pair
+        common = list(_members(rows[u] & rows[w]))
         return sorted({canon_edge(u, x) for x in common} | {canon_edge(w, x) for x in common})
 
-    spent: set[int] = set()
+    spent: set[tuple[int, int]] = set()
 
     def successors(e):
         # a bundle's edges are all discovered the first time it is opened
-        for idx in edge_bundles.get(e, []):
-            if idx not in spent:
-                spent.add(idx)
-                yield from members(idx)
+        for pair in bundles(e):
+            if pair not in spent:
+                spent.add(pair)
+                yield from members(pair)
 
     parent = bfs(starts, successors, goal=goal)
     if goal not in parent:
@@ -512,8 +517,8 @@ def c4_chain(h: Graph, start_edges, goal: tuple[int, int]):
     for e, e2 in zip(path, path[1:]):
         # e2 was first discovered from e, so no bundle holding e2 had been
         # opened before e: the first of e's bundles holding e2 is the one
-        idx = next(i for i in edge_bundles[e] if e2 in members(i))
-        chain.append((e, _bundle_c4(*bundles[idx], e, e2), e2))
+        u, w = next(p for p in bundles(e) if e2 in members(p))
+        chain.append((e, _bundle_c4(u, w, _members(rows[u] & rows[w]), e, e2), e2))
     return chain
 
 

@@ -86,7 +86,8 @@ class SimplicialComplex:
         ]
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        adj = self._one_skeleton()
+        return len(bfs(list(adj)[:1], adj.__getitem__)) == len(adj)
 
     def dump(self) -> str:
         return "\n".join(" ".join(map(str, sorted(f))) for f in self.maximal_faces) + "\n"

@@ -74,16 +74,6 @@ class Stream:
                 self._gauss_pending = v * factor
                 return u * factor
 
-    def integer(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection on the top multiple."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % bound
-
 
 def derive_seed(seed: int, label: str) -> int:
     """Stable sub-seed for a named substream (probes, folds, ...)."""

@@ -3,7 +3,9 @@
 Three generations of the library's kernel, each the reference of the next:
 - the dictionary union-find versions that `oddwalk.closure` and
   `oddwalk.coloring` used before the array kernel (`c4_partition`,
-  `phi_partition`, `c4_bundles`), the semantic reference;
+  `phi_partition`, `c4_bundles`), the semantic reference.  `c4_bundles`
+  is also the reference behind `coloring.c4_chain`, which opens bundles on
+  demand: `traversal_reference.c4_chain` searches the bundles it lists;
 - the codegree matrix product that found the vertex pairs with two common
   neighbours before the bit-row kernel (`c4_pairs`);
 - the array kernel that merged a spanning forest of each vertex's wedges
@@ -15,7 +17,8 @@ Three generations of the library's kernel, each the reference of the next:
 
 The differential tests in test_closure_kernel.py require the library to
 agree with them exactly: same pairs, same per-edge labels, same class
-numbering, same class contents, same bundle order.
+numbering, same class contents; test_traverse.py requires the same ear
+chains.
 """
 
 import numpy as np

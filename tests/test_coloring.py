@@ -3,6 +3,7 @@ import random
 import pytest
 
 from graphs import complete, cycle, petersen, random_graph
+from oddwalk import coloring as coloring_module
 from oddwalk.closure import GraphHom
 from oddwalk.coloring import (
     EXTENSION,
@@ -17,7 +18,9 @@ from oddwalk.coloring import (
 )
 from oddwalk.errors import HypothesisError, InputError, ViolationError
 from oddwalk.graph import (
+    UNKNOWN,
     Coloring,
+    CycleSearch,
     Graph,
     bfs_layers,
     canon_edge,
@@ -64,10 +67,33 @@ def test_extend_detects_parity_conflict():
     a = frozenset({(0, 1), (0, 2), (1, 2)})
     b = frozenset(set(g.edges) - a)
     gamma0 = Coloring({0: 0, 1: 1, 2: 2}, 3)
-    with pytest.raises(HypothesisError) as exc:
+    with pytest.raises(HypothesisError, match="parity") as exc:
         extend_coloring(phi, StableSplit(a, b, phi), gamma0)
-    walks = exc.value.certificate["walks"]
-    assert len(walks) == 2
+    # B-edge (4, 5) closes the odd walk 4-3-5-4 beside the A-side
+    assert exc.value.certificate == {"walks": ([4, 3, 2], [4, 5, 3, 2])}
+
+
+def test_extend_detects_fiber_conflict():
+    # no 4-cycle, so every edge is its own class; the B-path 0-3-4-5-1 has
+    # even length, but its two ends are anchored in different fibers
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (1, 5)])
+    phi = GraphHom.identity(g)
+    a = frozenset({(0, 1), (0, 2), (1, 2)})
+    b = frozenset(set(g.edges) - a)
+    gamma0 = Coloring({0: 0, 1: 1, 2: 2}, 3)
+    with pytest.raises(HypothesisError, match="different fibers") as exc:
+        extend_coloring(phi, StableSplit(a, b, phi), gamma0)
+    assert exc.value.certificate == {"walks": ([4, 3, 0], [4, 5, 1])}
+
+
+def test_extend_detects_vertices_no_b_walk_reaches():
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    phi = GraphHom.identity(g)
+    a = frozenset({(0, 1), (0, 2), (1, 2)})
+    gamma0 = Coloring({0: 0, 1: 1, 2: 2}, 3)
+    with pytest.raises(HypothesisError, match="cannot reach") as exc:
+        extend_coloring(phi, StableSplit(a, frozenset({(3, 4)}), phi), gamma0)
+    assert exc.value.certificate == {"unreachable": [3, 4]}
 
 
 def test_extend_validates_inputs():
@@ -245,8 +271,44 @@ def test_pipeline_rejects_target_with_forbidden_cycle():
     g = cycle(5)
     phi = GraphHom.identity(g)
     c = Walk(g, [0, 1, 2, 3, 4, 0])
-    with pytest.raises(HypothesisError, match="5-cycle"):
+    with pytest.raises(HypothesisError, match="5-cycle") as exc:
         bounded_coloring_pipeline(phi, c, 2, sc_certificate=True)
+    assert exc.value.certificate == [0, 1, 2, 3, 4, 0]
+
+
+def test_pipeline_rejects_target_it_cannot_certify(monkeypatch):
+    # a freeness search that runs out of budget certifies nothing
+    g = complete(3)
+    phi = GraphHom.identity(g)
+    c = Walk(g, [0, 1, 2, 0])
+
+    def out_of_budget(h, k, budget):
+        return CycleSearch(UNKNOWN, None, budget)
+
+    monkeypatch.setattr(coloring_module, "has_cycle_of_length", out_of_budget)
+    with pytest.raises(HypothesisError, match="within budget") as exc:
+        bounded_coloring_pipeline(phi, c, 2, sc_certificate=True)
+    assert exc.value.certificate is None
+
+
+def test_pipeline_rejects_disconnected_source():
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    phi = GraphHom.identity(g)
+    with pytest.raises(HypothesisError, match="disconnected") as exc:
+        bounded_coloring_pipeline(phi, Walk(g, [0, 1, 2, 0]), 2, sc_certificate=True)
+    assert exc.value.certificate is None
+
+
+def test_trace_validate_rejects_improper_coloring():
+    g = complete(4)
+    phi = GraphHom.identity(g)
+    c = Walk(g, [0, 1, 2, 0])
+    _, trace = bounded_coloring_pipeline(phi, c, 2, sc_certificate=True)
+    bad = Coloring({v: 0 for v in range(4)}, trace.coloring.palette_size)
+    trace.coloring = bad
+    with pytest.raises(ViolationError, match="improper") as exc:
+        trace.validate(phi, c, 2)
+    assert exc.value.witness is bad
 
 
 # ---------------------------------------------------------------------------

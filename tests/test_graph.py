@@ -291,6 +291,15 @@ def test_coloring_validation():
         Coloring({0: 5}, 3)
 
 
+def test_coloring_is_proper_rejects_missing_vertices_and_monochromatic_edges():
+    g = complete(3)
+    partial = Coloring({0: 0, 1: 1}, 3)
+    assert not partial.is_proper(g)
+    assert partial.is_proper(g, require_total=False)
+    assert not Coloring({0: 0, 1: 2, 2: 2}, 3).is_proper(g)
+    assert not Coloring({0: 0, 1: 1, 2: 1}, 3).is_proper(g, require_total=False)
+
+
 def test_graph_invariants():
     with pytest.raises(InputError):
         Graph(3, [(0, 0)])

@@ -18,6 +18,7 @@ from oddwalk.homotopy import HOMOTOPIC, Walk, legal_moves
 from oddwalk.ncomplex import (
     CYCLIC,
     TRIVIAL,
+    UNKNOWN,
     UNKNOWN_NONTRIVIAL_ABELIANIZATION,
     EdgePath,
     GroupPresentation,
@@ -270,6 +271,34 @@ def test_tietze_handles_torsion_relator():
     reduced, status = tietze_simplify(pres)
     assert status == CYCLIC
     assert presentation_abelianization(reduced).torsion == (3,)
+
+
+def test_tietze_substitutes_through_a_length_two_relator():
+    # ab = 1 makes b = a^-1; the relator becomes a a^-1, which cancels
+    assert tietze_simplify(GroupPresentation(2, ((1, 2),))) == (GroupPresentation(1, ()), CYCLIC)
+
+
+def test_tietze_strips_a_conjugate_relator_cyclically():
+    # aba^-1 reduces cyclically to b, which then makes b trivial
+    assert tietze_simplify(GroupPresentation(2, ((1, 2, -1),))) == (GroupPresentation(1, ()), CYCLIC)
+
+
+def test_tietze_rewrites_a_longer_relator_with_a_shorter_one():
+    # ab = c^-1 by the first relator, so abddd becomes c^-1 ddd
+    reduced, status = tietze_simplify(GroupPresentation(4, ((1, 2, 3), (1, 2, 4, 4, 4))))
+    assert reduced == GroupPresentation(4, ((1, 2, 3), (-3, 4, 4, 4)))
+    assert status == UNKNOWN_NONTRIVIAL_ABELIANIZATION
+
+
+def test_tietze_gives_up_on_the_binary_icosahedral_group():
+    # <s, t | (st)^2 s^-3, s^3 t^-5> is perfect and has order 120, so no
+    # correct simplification reaches one generator and H1 certifies nothing
+    pres = GroupPresentation(2, ((1, 2, 1, 2, -1, -1, -1), (1, 1, 1, -2, -2, -2, -2, -2)))
+    reduced, status = tietze_simplify(pres)
+    assert status == UNKNOWN
+    assert reduced.num_generators == 2
+    ab = presentation_abelianization(reduced)
+    assert ab.free_rank == 0 and ab.torsion == ()
 
 
 def test_presentation_and_complex_dump_formats():

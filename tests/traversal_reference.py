@@ -25,8 +25,9 @@ import math
 from collections import deque
 from typing import Optional
 
+from closure_reference import c4_bundles
 from oddwalk import graph
-from oddwalk.closure import GraphHom, InvariantOracle, c4_bundles
+from oddwalk.closure import GraphHom, InvariantOracle
 from oddwalk.coloring import _bundle_c4
 from oddwalk.graph import NO, UNKNOWN, YES, CycleSearch, canon_edge
 from oddwalk.homotopy import (
