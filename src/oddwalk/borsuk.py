@@ -303,12 +303,11 @@ def nearest_vertex_hom(fine: ApproxGraph, coarse: ApproxGraph) -> GraphHom:
         raise InputError("samples must share a dimension")
     dots = fine.sample.points @ coarse.sample.points.T
     mapping = tuple(int(i) for i in dots.argmax(axis=1))
-    violations = []
-    for u, v in fine.graph.edges:
-        if not coarse.graph.has_edge(mapping[u], mapping[v]):
-            violations.append(((u, v), (mapping[u], mapping[v])))
-            if len(violations) >= 25:
-                break
+    image = np.asarray(mapping, dtype=np.int64)
+    us, vs = fine.graph.edge_ends()
+    bad = np.flatnonzero(coarse.graph.edge_ids(image[us], image[vs]) < 0)[:25]
+    ends = zip(us[bad].tolist(), vs[bad].tolist())
+    violations = [((u, v), (mapping[u], mapping[v])) for u, v in ends]
     if violations:
         antipodal = sum(1 for _, (a, b) in violations if b == a ^ 1)
         raise ConstructionError(

@@ -167,11 +167,11 @@ def cmd_closure(args) -> tuple[int, dict]:
     part = c4_partition(g)
     if args.out:
         _write(args.out, part.dump())
-    sizes = sorted((len(c) for c in part.classes), reverse=True)
+    sizes = sorted(part.sizes.tolist(), reverse=True)
     report = _report(
         "closure",
         {"graph": args.graph},
-        {"classes": len(part.classes), "class_sizes": sizes},
+        {"classes": len(sizes), "class_sizes": sizes},
         {"edges_covered": sum(sizes) == g.num_edges()},
         {"seconds": time.perf_counter() - t0},
     )

@@ -15,12 +15,13 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import HypothesisError, InputError, ParseError, ViolationError
-from .graph import Graph, canon_edge, csr_rows, degree_steps, int_rows, is_bipartite, pack_rows
+from .graph import Graph, canon_edge, csr_rows, degree_steps, int_rows, pack_rows
 from .traverse import _members
 
 
@@ -42,15 +43,9 @@ class GraphHom:
         for x in self.mapping:
             if not (0 <= x < self.target.n):
                 raise InputError(f"image vertex {x} out of range")
-        # each edge's image key a * n' + b must be among the target's dart
-        # keys, ascending in the CSR rows; a last key n' * n' exceeds every
-        # image key, so every lookup lands on some key
-        size = max(self.target.n, 1)
-        darts = np.append(csr_rows(self.target.indptr) * size + self.target.indices, size * size)
         label = np.asarray(self.mapping, dtype=np.int64)
         us, vs = self.source.edge_ends()
-        keys = label[us] * size + label[vs]
-        missing = np.flatnonzero(darts[np.searchsorted(darts, keys)] != keys)
+        missing = np.flatnonzero(self.target.edge_ids(label[us], label[vs]) < 0)
         if len(missing):
             u, v = int(us[missing[0]]), int(vs[missing[0]])
             raise InputError(
@@ -117,31 +112,49 @@ class EdgeMultiset:
     def size(self) -> int:
         return sum(self.counts.values())
 
-    def __add__(self, other: "EdgeMultiset") -> "EdgeMultiset":
-        if other.owner is not self.owner and other.owner != self.owner:
-            raise InputError("cannot add multisets over different graphs")
-        return EdgeMultiset(self.counts + other.counts, self.owner)
-
     def without_edges(self, edge_set) -> "EdgeMultiset":
         return EdgeMultiset(
             Counter({e: m for e, m in self.counts.items() if e not in edge_set}), self.owner
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosurePartition:
     """Partition of a graph's edges, either by the 4-cycle relation in the
     graph itself (`c4_partition`) or by pulling target classes back along a
     homomorphism and splitting into connected pieces (`phi_partition`).
 
-    Classes are numbered by their smallest edge.  Partitions are cached on
-    the graph or homomorphism they were built for and shared by every
-    caller, so they are read-only.
+    Stored as `labels`, the class id of each edge id (index into
+    owner.edges), classes numbered by their smallest edge.  The views
+    `sizes` (edges per class), `class_of` (edge -> class id, class by class,
+    each in edge order) and `classes` (frozensets) are built on first read.
+    Partitions are cached on the graph or homomorphism they were built for
+    and shared by every caller, so they are read-only.
     """
 
     owner: Graph
-    class_of: dict
-    classes: tuple[frozenset, ...]
+    labels: np.ndarray
+
+    def __post_init__(self):
+        self.labels.flags.writeable = False
+
+    def _edge_lists(self) -> list[list]:
+        members: list[list] = [[] for _ in range(len(self.sizes))]
+        for e, cid in zip(self.owner.edges, self.labels.tolist()):
+            members[cid].append(e)
+        return members
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.bincount(self.labels)
+
+    @cached_property
+    def class_of(self) -> dict:
+        return {e: cid for cid, es in enumerate(self._edge_lists()) for e in es}
+
+    @cached_property
+    def classes(self) -> tuple[frozenset, ...]:
+        return tuple(map(frozenset, self._edge_lists()))
 
     def class_id(self, e: tuple[int, int]) -> int:
         try:
@@ -158,31 +171,31 @@ class ClosurePartition:
             hits = Counter(self.class_of[e] for e in edge_set)
         except KeyError:
             return False
-        return all(len(self.classes[cid]) == k for cid, k in hits.items())
+        return all(self.sizes[cid] == k for cid, k in hits.items())
 
     def dump(self) -> str:
         lines = []
-        for cid, edges in enumerate(self.classes):
-            body = " ".join(f"{u}-{v}" for u, v in sorted(edges))
+        for cid, edges in enumerate(self._edge_lists()):
+            body = " ".join(f"{u}-{v}" for u, v in edges)
             lines.append(f"class {cid}: {body}")
         return "\n".join(lines) + "\n"
 
 
 def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Label each of `count` items with the smallest item joined to it
-    through the pairs (a[i], b[i]).
+    """The component id of each of `count` items joined by the pairs
+    (a[i], b[i]), components numbered by their smallest item.
 
     Union-find over arrays: every round hooks the larger root of each
     unmerged pair under the smaller one, then jumps pointers until every
     label is a root again.  Pointers only ever decrease, so each component
-    ends up labelled by its minimum.
+    ends up rooted at its minimum.
     """
     labels = np.arange(count)
     while True:
         la, lb = labels[a], labels[b]
         open_ = la != lb
         if not open_.any():
-            return labels
+            return (np.cumsum(labels == np.arange(count)) - 1)[labels]
         a, b, la, lb = a[open_], b[open_], la[open_], lb[open_]
         np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
         while True:
@@ -211,7 +224,8 @@ def _c4_pairs(h: Graph) -> list[int]:
 
 
 def _c4_labels(h: Graph) -> np.ndarray:
-    """Per edge id (index into h.edges), the smallest edge id of its class.
+    """Per edge id (index into h.edges), its class id, classes numbered by
+    their smallest edge.
 
     Edges (x, u) and (x, w) lie on a common 4-cycle x-u-y-w exactly when u
     and w have a common neighbor y other than x, i.e. codegree >= 2, and
@@ -237,22 +251,10 @@ def _c4_labels(h: Graph) -> np.ndarray:
                     darts.append(w)
                     darts.append(root)
                 frontier = reach & left
-    # x in CSR order; (x, end) is found among the edge keys, ascending with the ids
-    tails = csr_rows(h.indptr)[:, None]
+    # the darts' tails x are in CSR order
     ends = np.frombuffer(darts, dtype=np.int64).reshape(-1, 2)
-    us, ws = h.edge_ends()
-    ids = np.searchsorted(us * h.n + ws, np.minimum(tails, ends) * h.n + np.maximum(tails, ends))
+    ids = h.edge_ids(csr_rows(h.indptr)[:, None], ends)
     return _components(h.num_edges(), ids[:, 0], ids[:, 1])
-
-
-def _partition(owner: Graph, labels: np.ndarray) -> ClosurePartition:
-    """Partition from per-edge labels; classes numbered by smallest edge."""
-    roots, cids = np.unique(labels, return_inverse=True)
-    members: list[list] = [[] for _ in range(len(roots))]
-    for e, cid in zip(owner.edges, cids.tolist()):
-        members[cid].append(e)
-    class_of = {e: cid for cid, es in enumerate(members) for e in es}
-    return ClosurePartition(owner, class_of, tuple(frozenset(es) for es in members))
 
 
 def c4_partition(h: Graph) -> ClosurePartition:
@@ -264,7 +266,7 @@ def c4_partition(h: Graph) -> ClosurePartition:
     2m pairs; memory O(n^2) bits plus O(m).
     """
     if h._c4_partition is None:
-        h._c4_partition = _partition(h, _c4_labels(h))
+        h._c4_partition = ClosurePartition(h, _c4_labels(h))
     return h._c4_partition
 
 
@@ -287,7 +289,8 @@ def _pullback(phi: GraphHom) -> ClosurePartition:
     target = c4_partition(phi.target)
     m = g.num_edges()
     us, ws = g.edge_ends()
-    cls = np.array([target.class_of[phi.edge_image(e)] for e in g.edges], dtype=np.int64)
+    label = np.asarray(phi.mapping, dtype=np.int64)
+    cls = target.labels[phi.target.edge_ids(label[us], label[ws])]
     # source edges of one target class meeting at a vertex are joined: key
     # each edge end by (class, vertex) and tie it to the first edge of its key
     keys = np.concatenate([cls * g.n + us, cls * g.n + ws])
@@ -295,7 +298,7 @@ def _pullback(phi: GraphHom) -> ClosurePartition:
     distinct, group = np.unique(keys, return_inverse=True)
     first = np.full(len(distinct), m)
     np.minimum.at(first, group, ids)
-    return _partition(g, _components(m, ids, first[group]))
+    return ClosurePartition(g, _components(m, ids, first[group]))
 
 
 @dataclass(frozen=True)
@@ -318,23 +321,22 @@ class InvariantSpec:
 
 def eval_invariant(spec: InvariantSpec, f: EdgeMultiset, phi: GraphHom) -> int:
     """Parity of |f ∩ A| (or |f ∩ A_u| with an anchor).  Requires A stable."""
+    _require_source(f, phi)
     partition = phi_partition(phi)
     if not partition.is_stable(spec.stable_set):
         raise InputError("stable_set is not a union of closure classes")
-    return _eval_raw(spec, f, phi)
-
-
-def _eval_raw(spec: InvariantSpec, f: EdgeMultiset, phi: GraphHom) -> int:
-    if spec.anchor is None:
-        total = sum(m for e, m in f.counts.items() if e in spec.stable_set)
-    else:
-        u = spec.anchor
-        total = sum(
-            m
-            for e, m in f.counts.items()
-            if e in spec.stable_set and (phi.mapping[e[0]] == u or phi.mapping[e[1]] == u)
-        )
+    u = spec.anchor
+    total = sum(
+        m
+        for e, m in f.counts.items()
+        if e in spec.stable_set and (u is None or u in (phi.mapping[e[0]], phi.mapping[e[1]]))
+    )
     return total % 2
+
+
+def _require_source(f: EdgeMultiset, phi: GraphHom) -> None:
+    if f.owner != phi.source:
+        raise InputError("the multiset is not over the homomorphism's source graph")
 
 
 class InvariantOracle:
@@ -351,8 +353,8 @@ class InvariantOracle:
 
     def profile(self, f: EdgeMultiset) -> tuple:
         """(class parities, anchored parities) of f, as nested tuples."""
-        k = len(self.partition.classes)
-        plain = [0] * k
+        _require_source(f, self.phi)
+        plain = [0] * len(self.partition.sizes)
         anchored: Counter = Counter()
         for e, m in f.counts.items():
             cid = self.partition.class_of[e]
@@ -435,6 +437,7 @@ def find_pivot_edge(
     Returns (edge, spec, odd cycle in the target as a closed vertex list)
     with eval(spec, f) = 1 and the cycle inside the support of phi(f).
     """
+    _require_source(f, phi)
     if f.size() % 2 != 1:
         raise HypothesisError(
             "whole-edge-set invariant of f is 0, expected 1 (|f| must be odd)",
@@ -495,20 +498,3 @@ def _pivot_search(phi, f, oracle):
             return lifted, InvariantSpec(cls, min(anchored_hits)), odd_cycle
         f = f.without_edges(cls)
 
-
-def verify_bipartite_complement(phi: GraphHom, spec: InvariantSpec, cycle_vertices) -> bool:
-    """Check that the source minus the stable set is bipartite.
-
-    `cycle_vertices` must be an odd cycle of the source on which the given
-    invariant evaluates to 1; with a simply connected source this
-    bipartiteness is guaranteed, so the check doubles as a validation
-    harness.
-    """
-    g = phi.source
-    if cycle_vertices[0] != cycle_vertices[-1] or (len(cycle_vertices) - 1) % 2 != 1:
-        raise InputError("witness walk must be an odd closed walk")
-    f = EdgeMultiset.from_walk_vertices(g, cycle_vertices)
-    if eval_invariant(spec, f, phi) != 1:
-        raise InputError("spec does not evaluate to 1 on the witness cycle")
-    complement = [e for e in g.edges if e not in spec.stable_set]
-    return is_bipartite(g.subgraph_on_edges(complement))[0]

@@ -210,8 +210,8 @@ def color_closure_subgraph(h: Graph, f: tuple[int, int], r: int) -> Coloring:
     Finds the shortest odd cycle through the closure (length at most 2r-1),
     restricts to the closure-plus-cycle subgraph, checks that every closure
     vertex sits within distance r-1 of the cycle, and colors each vertex in
-    the ball of its nearest cycle vertex with per-cycle-vertex disjoint 4r
-    palettes.
+    the ball of its nearest cycle vertex (the smallest, on a tie) with
+    per-cycle-vertex disjoint 4r palettes.
     """
     if r < 2:
         raise InputError("r must be at least 2")
@@ -229,31 +229,29 @@ def color_closure_subgraph(h: Graph, f: tuple[int, int], r: int) -> Coloring:
     cycle_edges = {canon_edge(a, b) for a, b in zip(cycle, cycle[1:])}
     h1 = h.subgraph_on_edges(cycle_edges | closure)
     cycle_vertices = sorted(set(cycle[:-1]))
-    dist_from = {cv: depths(bfs([cv], h1.sorted_neighbors)) for cv in cycle_vertices}
+    # one BFS from the ascending cycle vertices: its queue stays sorted by
+    # (depth, anchor), so a vertex's anchor is its smallest nearest cycle vertex
+    parent = bfs(cycle_vertices, h1.sorted_neighbors)
+    dist = depths(parent)
+    anchor: dict[int, int] = {}
+    for v, prev in parent.items():
+        anchor[v] = v if prev is None else anchor[prev]
     closure_vertices = {v for e in closure for v in e}
-    all_vertices = closure_vertices | set(cycle_vertices)
-    nearest: dict[int, int] = {}
-    for wv in sorted(all_vertices):
-        best = min(
-            ((dist_from[cv].get(wv), cv) for cv in cycle_vertices if wv in dist_from[cv]),
-            default=(None, None),
-        )
-        if best[0] is None:
+    members: dict[int, list[int]] = {cv: [] for cv in cycle_vertices}
+    for wv in sorted(closure_vertices | set(cycle_vertices)):
+        if wv not in dist:
             raise ViolationError(f"vertex {wv} is unreachable from the anchor cycle", witness=wv)
-        if wv in closure_vertices and best[0] > r - 1:
+        if wv in closure_vertices and dist[wv] > r - 1:
             raise ViolationError(
-                f"closure vertex {wv} is at distance {best[0]} > {r - 1} from the cycle",
+                f"closure vertex {wv} is at distance {dist[wv]} > {r - 1} from the cycle",
                 witness=wv,
             )
-        nearest[wv] = best[1]
+        members[anchor[wv]].append(wv)
     assignment: dict[int, int] = {}
     for idx, cv in enumerate(cycle_vertices):
-        members = [wv for wv, c in nearest.items() if c == cv]
-        if not members:
-            continue
         ball = color_ball(h1, cv, r)
         offset = idx * 4 * r
-        for wv in members:
+        for wv in members[cv]:
             assignment[wv] = ball.assignment[wv] + offset
     # proper: the ends of an edge share a proper ball colouring or get
     # different offsets; at most 2r - 1 cycle vertices keep the palette at

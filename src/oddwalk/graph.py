@@ -215,6 +215,20 @@ class Graph:
         upper = self.indices > tails
         return tails[upper], self.indices[upper]
 
+    def edge_ids(self, a, b) -> np.ndarray:
+        """Index into `edges` of each vertex pair (a[i], b[i]), in either
+        order, or -1 where the pair is not an edge (a self pair included).
+        a and b are arrays of vertex ids of this graph, broadcast together."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        us, ws = self.edge_ends()
+        # the keys ascend with the edge ids; the last, n * n, exceeds every pair's key
+        keys = np.append(us * self.n + ws, self.n * self.n)
+        want = np.minimum(a, b) * self.n
+        want += np.maximum(a, b)
+        at = np.searchsorted(keys, want)
+        at[keys[at] != want] = -1
+        return at
+
     def sorted_neighbors(self, v: int) -> tuple[int, ...]:
         return self.sorted_adj[v]
 
@@ -329,9 +343,9 @@ class Coloring:
         return len(set(self.assignment.values()))
 
     def is_proper(self, g: Graph, require_total: bool = True) -> bool:
-        if require_total and len(self.assignment) < g.n:
-            return False
         a = self.assignment
+        if require_total and any(v not in a for v in range(g.n)):
+            return False
         for u, v in g.edges:
             if u in a and v in a and a[u] == a[v]:
                 return False

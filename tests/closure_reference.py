@@ -147,10 +147,11 @@ def dense_components(adjacent):
 
 
 def c4_labels(h):
-    """Per edge id, the smallest edge id of its class: at each vertex x the
-    edge to each neighbour joins the edge to the smallest neighbour of its
-    component in the codegree >= 2 graph on N(x), found on the dense
-    `c4_pairs(h)[nbrs][:, nbrs]` wedge matrix (sum of deg^2 cells)."""
+    """Per edge id, its class id, classes numbered by their smallest edge:
+    at each vertex x the edge to each neighbour joins the edge to the
+    smallest neighbour of its component in the codegree >= 2 graph on N(x),
+    found on the dense `c4_pairs(h)[nbrs][:, nbrs]` wedge matrix (sum of
+    deg^2 cells)."""
     m = h.num_edges()
     pairs = c4_pairs(h)
     us, ws = h.edge_ends()

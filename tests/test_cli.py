@@ -12,7 +12,7 @@ import oddwalk
 from oddwalk import cli
 from oddwalk.borsuk import sample_approximation
 from oddwalk.cli import FAILURE, INTERNAL_ERROR, USAGE_ERROR, parse_epsilon, run_cli
-from oddwalk.closure import GraphHom, parse_hom
+from oddwalk.closure import ClosurePartition, GraphHom, parse_hom
 from oddwalk.errors import InputError
 from oddwalk.graph import Graph, parse_graph, serialize_graph
 
@@ -320,6 +320,26 @@ def test_closure_ncomplex_invariants_commands(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert report["results"]["odd_classes"] == [0]
+
+
+def test_closure_command_lists_class_edges_only_for_a_dump(tmp_path, monkeypatch):
+    # C5 plus a disjoint square: five one-edge classes, then the square's
+    g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 8), (8, 5)])
+    gp = write_graph(tmp_path, "g.el", g)
+    listed = []
+    edge_lists = ClosurePartition._edge_lists
+    monkeypatch.setattr(
+        ClosurePartition, "_edge_lists", lambda part: listed.append(part) or edge_lists(part)
+    )
+    code, report = run_cli(["closure", "--graph", gp, "--json", str(tmp_path / "a.json")])
+    assert code == 0 and report["results"]["class_sizes"] == [4, 1, 1, 1, 1, 1]
+    assert not listed  # the sizes come from the labels
+    dump = tmp_path / "dump.txt"
+    code, _ = run_cli(
+        ["closure", "--graph", gp, "--out", str(dump), "--json", str(tmp_path / "b.json")]
+    )
+    assert code == 0 and len(listed) == 1
+    assert dump.read_text().splitlines()[-1] == "class 5: 5-6 5-8 6-7 7-8"
 
 
 def test_invariants_command_with_hom_file(tmp_path, capsys):

@@ -28,6 +28,9 @@ EPS5 = math.pi / 5
 
 def assert_same_partition(part, expected):
     classes, class_of = expected
+    # the stored labels first, before any view is built from them
+    assert part.labels.tolist() == [class_of[e] for e in part.owner.edges]
+    assert part.sizes.tolist() == [len(c) for c in classes]
     assert part.classes == classes
     assert [list(c) for c in part.classes] == [list(c) for c in classes]
     assert part.class_of == class_of
@@ -165,11 +168,14 @@ def test_pairs_peak_memory_stays_below_four_bytes_per_vertex_pair():
 
 
 def test_labels_match_the_dense_wedge_kernel_on_2000_vertex_sample():
-    g = sample_approximation(2, EPS5, 1000, 1).graph  # 190,782 edges, one class
+    sample = sample_approximation(2, EPS5, 1000, 1)
+    g = sample.graph  # 190,782 edges, one class
     labels = _c4_labels(g)
     assert np.array_equal(labels, ref.c4_labels(g))
     assert_same_partition(c4_partition(g), ref.labels_partition(g, labels))
     assert len(c4_partition(g).classes) == 1
+    phi = tetrahedral_hom(sample)
+    assert_same_partition(phi_partition(phi), ref.phi_partition(phi))
 
 
 def test_wedge_components_whose_roots_are_not_the_smallest_neighbour():
@@ -231,6 +237,20 @@ def test_partition_is_frozen():
     part = c4_partition(complete(4))
     with pytest.raises(FrozenInstanceError):
         part.classes = ()
+    with pytest.raises(FrozenInstanceError):
+        part.labels = None
+    with pytest.raises(ValueError):
+        part.labels[0] = 1  # the labels are read-only
+
+
+def test_partition_views_are_built_on_first_read():
+    g = example7()
+    part = c4_partition(g)
+    assert not {"sizes", "class_of", "classes"} & set(vars(part))
+    # stability reads the class sizes off the labels, not the frozensets
+    assert part.is_stable(frozenset(g.edges)) and not part.is_stable(frozenset({(0, 1)}))
+    assert "classes" not in vars(part)
+    assert part.classes is part.classes and part.class_of is part.class_of
 
 
 def test_is_stable_on_subsets_and_unions():

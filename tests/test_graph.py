@@ -298,6 +298,8 @@ def test_coloring_is_proper_rejects_missing_vertices_and_monochromatic_edges():
     assert partial.is_proper(g, require_total=False)
     assert not Coloring({0: 0, 1: 2, 2: 2}, 3).is_proper(g)
     assert not Coloring({0: 0, 1: 1, 2: 1}, 3).is_proper(g, require_total=False)
+    # as many colours as vertices, but vertex 1 of K2 has none
+    assert not Coloring({0: 0, 5: 1}, 2).is_proper(complete(2))
 
 
 def test_graph_invariants():
@@ -368,6 +370,41 @@ def test_graph_views_are_built_on_first_use():
     assert g.sorted_adj is g.sorted_adj and g.edges == ((0, 1), (1, 2), (2, 3))
     with pytest.raises(AttributeError):
         g.no_such_view
+
+
+def check_edge_ids(g):
+    # every ordered vertex pair: each edge both ways, the self pairs and the non-edges
+    index = {e: i for i, e in enumerate(g.edges)}
+    pairs = [(a, b) for a in range(g.n) for b in range(g.n)]
+    expected = [index.get((min(a, b), max(a, b)), -1) for a, b in pairs]
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    assert g.edge_ids(a, b).tolist() == expected
+    assert g.edge_ids(b, a).tolist() == expected
+    # one column broadcast against a block of ends, as the closure kernel calls it;
+    # the second column holds the self pairs (a, a)
+    block = g.edge_ids(a[:, None], np.stack([b, a], axis=1))
+    assert block.shape == (len(pairs), 2)
+    assert block[:, 0].tolist() == expected and (block[:, 1] == -1).all()
+
+
+@pytest.mark.parametrize("index", range(len(fuzz_corpus()) + 4))
+def test_edge_ids_match_a_dict_lookup_on_corpus(index):
+    graphs = fuzz_corpus() + [Graph(0, []), Graph(1, []), Graph(5, []), cycle(130)]
+    check_edge_ids(graphs[index])
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_edge_ids_match_a_dict_lookup_on_random_graphs(g):
+    check_edge_ids(g)
+
+
+def test_edge_ids_on_empty_input():
+    empty = np.zeros(0, dtype=np.int64)
+    for g in (Graph(0, []), Graph(3, []), complete(3)):
+        assert g.edge_ids(empty, empty).tolist() == []
+    assert Graph(3, []).edge_ids([0, 1, 2], [1, 2, 0]).tolist() == [-1, -1, -1]
+    assert complete(3).edge_ids([2, 1, 0, 1], [0, 1, 2, 2]).tolist() == [1, -1, 1, 2]
 
 
 def check_bit_rows(g, rnd):

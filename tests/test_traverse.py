@@ -32,7 +32,8 @@ from graphs import (
 from oddwalk import graph as graph_module
 from oddwalk import homsearch
 from oddwalk.borsuk import sample_approximation
-from oddwalk.coloring import _cycle_through_edge, c4_chain
+from oddwalk.coloring import _cycle_through_edge, c4_chain, color_closure_subgraph
+from oddwalk.errors import OddwalkError
 from oddwalk.graph import (
     NO,
     YES,
@@ -137,6 +138,25 @@ def check_c4_chains(g):
     starts = [canon_edge(a, b) for a, b in zip(cycle_, cycle_[1:])]
     for goal in g.edges:
         assert c4_chain(g, starts, goal) == ref.c4_chain(g, starts, goal)
+
+
+def closure_coloring_outcome(color, g, f, r):
+    """The colouring's assignment (in insertion order) and palette, or the error raised."""
+    try:
+        out = color(g, f, r)
+    except OddwalkError as exc:
+        return type(exc), str(exc)
+    return list(out.assignment.items()), out.palette_size
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_closure_coloring_matches_reference_on_corpus(index):
+    g = CORPUS[index]
+    for f in g.edges:
+        for r in (2, 3, 4):
+            assert closure_coloring_outcome(color_closure_subgraph, g, f, r) == (
+                closure_coloring_outcome(ref.color_closure_subgraph, g, f, r)
+            )
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))

@@ -18,7 +18,9 @@ minimum scan over every remaining vertex that the bucket queue replaced.
 one by one, the last two layers included, before those layers were
 counted from the graph's bit rows (with and without distances), and
 `ranked_pairs` the fold search's candidate ranking before it became one
-array sort.
+array sort.  `color_closure_subgraph` is the closure colouring that ran one
+BFS per cycle vertex and took each vertex's nearest one as the minimum of
+(distance, cycle vertex), before one multi-source BFS carried the anchors.
 """
 
 import math
@@ -27,9 +29,10 @@ from typing import Optional
 
 from closure_reference import c4_bundles
 from oddwalk import graph
-from oddwalk.closure import GraphHom, InvariantOracle
-from oddwalk.coloring import _bundle_c4
-from oddwalk.graph import NO, UNKNOWN, YES, CycleSearch, canon_edge
+from oddwalk.closure import GraphHom, InvariantOracle, c4_partition
+from oddwalk.coloring import _bundle_c4, color_ball, shortest_odd_cycle_meeting
+from oddwalk.errors import HypothesisError, ViolationError
+from oddwalk.graph import NO, UNKNOWN, YES, Coloring, CycleSearch, canon_edge
 from oddwalk.homotopy import (
     DEL,
     HOMOTOPIC,
@@ -45,6 +48,7 @@ from oddwalk.homotopy import (
 )
 from oddwalk.homsearch import FOUND, NONE, TIMEOUT
 from oddwalk.ncomplex import _edgepath_moves
+from oddwalk.traverse import bfs, depths
 
 
 def is_bipartite(g):
@@ -551,3 +555,45 @@ def ranked_pairs(g, stream, cap):
     with one stream draw per pair as the tie-break; the first `cap`."""
     pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
     return sorted(pairs, key=lambda p: (-len(g.adj[p[0]] & g.adj[p[1]]), stream.next_u64()))[:cap]
+
+
+def color_closure_subgraph(h, f, r):
+    """The closure colouring with one BFS per cycle vertex (h has edge f, r >= 2)."""
+    f = canon_edge(*f)
+    closure = c4_partition(h).class_edges(f)
+    found = shortest_odd_cycle_meeting(h, closure, 2 * r - 1)
+    if found is None:
+        raise HypothesisError(
+            f"no odd cycle of length at most {2 * r - 1} meets the closure of {f}"
+        )
+    cycle, _ = found
+    cycle_edges = {canon_edge(a, b) for a, b in zip(cycle, cycle[1:])}
+    h1 = h.subgraph_on_edges(cycle_edges | closure)
+    cycle_vertices = sorted(set(cycle[:-1]))
+    dist_from = {cv: depths(bfs([cv], h1.sorted_neighbors)) for cv in cycle_vertices}
+    closure_vertices = {v for e in closure for v in e}
+    all_vertices = closure_vertices | set(cycle_vertices)
+    nearest = {}
+    for wv in sorted(all_vertices):
+        best = min(
+            ((dist_from[cv].get(wv), cv) for cv in cycle_vertices if wv in dist_from[cv]),
+            default=(None, None),
+        )
+        if best[0] is None:
+            raise ViolationError(f"vertex {wv} is unreachable from the anchor cycle", witness=wv)
+        if wv in closure_vertices and best[0] > r - 1:
+            raise ViolationError(
+                f"closure vertex {wv} is at distance {best[0]} > {r - 1} from the cycle",
+                witness=wv,
+            )
+        nearest[wv] = best[1]
+    assignment = {}
+    for idx, cv in enumerate(cycle_vertices):
+        members = [wv for wv, c in nearest.items() if c == cv]
+        if not members:
+            continue
+        ball = color_ball(h1, cv, r)
+        offset = idx * 4 * r
+        for wv in members:
+            assignment[wv] = ball.assignment[wv] + offset
+    return Coloring(assignment, len(cycle_vertices) * 4 * r)
