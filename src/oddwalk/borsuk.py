@@ -28,7 +28,7 @@ from .homotopy import Walk
 from .rng import Stream, derive_seed
 
 NORM_TOLERANCE = 1e-12
-GRAM_BLOCK = 256  # Gram rows held at once by _gram_blocks
+GRAM_BLOCK = 256  # Gram rows that ApproxGraph.from_sample holds at once
 
 
 # ---------------------------------------------------------------------------
@@ -132,27 +132,11 @@ def _unit_vector(d: int, stream: Stream) -> list[float]:
 
 
 def _sample_points(n: int, count: int, stream: Stream) -> np.ndarray:
-    d = n + 1
-    rows = np.empty((2 * count, d), dtype=np.float64)
-    for t in range(count):
-        row = _unit_vector(d, stream)
-        rows[2 * t] = row
-        rows[2 * t + 1] = [-c for c in row]
+    draws = np.array([_unit_vector(n + 1, stream) for _ in range(count)], dtype=np.float64)
+    rows = np.empty((2 * count, n + 1), dtype=np.float64)
+    rows[0::2] = draws
+    rows[1::2] = -draws
     return rows
-
-
-def _gram_blocks(points: np.ndarray):
-    """Yield (start, gram rows) with a reduction order independent of BLAS:
-    the gram is accumulated coordinate by coordinate.  GRAM_BLOCK only sets
-    how many rows are held at once (small enough to stay in cache), never
-    an entry's value."""
-    m, d = points.shape
-    for start in range(0, m, GRAM_BLOCK):
-        rows = points[start : start + GRAM_BLOCK]
-        gram = np.zeros((len(rows), m))
-        for k in range(d):
-            gram += np.multiply.outer(rows[:, k], points[:, k])
-        yield start, gram
 
 
 @dataclass
@@ -171,27 +155,39 @@ class ApproxGraph:
         Vertex 2t + 1 is the exact negation of vertex 2t, and rounding to
         nearest commutes with negation, so the Gram entry of 2s ^ a and
         2t ^ b is (-1)^(a+b) G[s, t] bit for bit, where G is the draws'
-        Gram matrix.  Row 2s holds 2t when G[s, t] < threshold and 2t + 1
-        when -G[s, t] < threshold; t = s is dropped (the vertex itself
-        and its antipodal self-pairing).  `np.nonzero` lists those entries
-        row by row in ascending columns.  Row 2s + 1 is row 2s with every
-        column xor 1, except that a pair 2t, 2t + 1 held by both rows
-        (only for epsilon > pi/2) keeps its order.
+        Gram matrix.  G is accumulated coordinate by coordinate, in place,
+        so its reduction order is independent of BLAS; GRAM_BLOCK only sets
+        how many rows are held at once (small enough to stay in cache),
+        never an entry's value.  Row 2s holds 2t when G[s, t] < threshold
+        and 2t + 1 when -G[s, t] < threshold; t = s is dropped (the vertex
+        itself and its antipodal self-pairing).  One `np.flatnonzero` lists
+        those entries row by row in ascending columns.  Row 2s + 1 is row
+        2s with every column xor 1, except that a pair 2t, 2t + 1 held by
+        both rows keeps its order.  Both are held only when -threshold <
+        G[s, t] < threshold, so only for a positive threshold (epsilon >
+        pi/2).
         """
         if not (0.0 < epsilon < math.pi):
             raise InputError("threshold must lie in (0, pi)")
         threshold = -math.cos(epsilon)
-        m = sample.size()
+        draws = np.ascontiguousarray(sample.points[0::2])
+        count, d = draws.shape
+        grams, terms = np.empty((2, min(GRAM_BLOCK, count), count))
         degrees, heads = [], []
-        for start, gram in _gram_blocks(np.ascontiguousarray(sample.points[0::2])):
-            local = np.arange(len(gram))
+        for start in range(0, count, GRAM_BLOCK):
+            chunk = draws[start : start + GRAM_BLOCK]
+            gram, term = grams[: len(chunk)], terms[: len(chunk)]
+            np.multiply.outer(chunk[:, 0], draws[:, 0], out=gram)
+            for k in range(1, d):
+                gram += np.multiply.outer(chunk[:, k], draws[:, k], out=term)
+            local = np.arange(len(chunk))
             near = np.stack([gram < threshold, gram > -threshold], axis=2)
             near[local, local + start] = False
-            held = near.reshape(len(gram), -1)
-            rows, cols = np.nonzero(held)
+            rows, cols = np.divmod(np.flatnonzero(near), 2 * count)
             degree = np.bincount(rows, minlength=len(gram))
             mirror = cols ^ 1
-            mirror[held[rows, mirror]] ^= 1  # a pair held by both rows keeps its order
+            if threshold > 0:  # a pair held by both rows keeps its order
+                mirror[near.reshape(len(gram), -1)[rows, mirror]] ^= 1
             # row s's entries go to rows 2s and 2s + 1 of the block
             at = np.arange(len(cols)) + (np.cumsum(degree) - degree)[rows]
             block = np.empty(2 * len(cols), dtype=np.int64)
@@ -199,9 +195,9 @@ class ApproxGraph:
             block[at + degree[rows]] = mirror
             degrees.append(np.repeat(degree, 2))
             heads.append(block)
-        indptr = np.zeros(m + 1, dtype=np.int64)
+        indptr = np.zeros(2 * count + 1, dtype=np.int64)
         np.cumsum(np.concatenate(degrees), out=indptr[1:])
-        return cls(sample, epsilon, Graph.from_sorted_unique(m, indptr, np.concatenate(heads)))
+        return cls(sample, epsilon, Graph.from_sorted_unique(2 * count, indptr, np.concatenate(heads)))
 
     def adjacency_matrix(self) -> np.ndarray:
         g = self.graph

@@ -37,6 +37,7 @@ from oddwalk import graph as graph_module
 from oddwalk.graph import (
     INFINITE,
     Graph,
+    csr_from_darts,
     csr_rows,
     degree_steps,
     has_cycle_of_length,
@@ -44,6 +45,7 @@ from oddwalk.graph import (
     odd_girth,
     odd_walk_free,
     or_rows,
+    pack_rows,
 )
 from oddwalk.rng import Stream, derive_seed
 
@@ -152,7 +154,9 @@ def test_matrix_check_agrees_with_exact_odd_girth():
 
 # above pi/2 a row can hold both 2t and 2t + 1; near pi the threshold
 # rounds to 1.0, above the diagonal Gram entries of some draws
-@pytest.mark.parametrize("eps", [EPS5, math.pi / 3, 1.6, 2.0, 3.0, math.pi - 1e-9])
+@pytest.mark.parametrize(
+    "eps", [math.pi / 7, EPS5, math.pi / 3, math.pi / 2, 1.6, 2.0, 3.0, math.pi - 1e-9]
+)
 @pytest.mark.parametrize("count", [1, 2, 50, 150])
 def test_row_built_sample_graph_matches_validated_build(count, eps):
     sample = sample_approximation(2, eps, count, 40 + count)
@@ -161,6 +165,14 @@ def test_row_built_sample_graph_matches_validated_build(count, eps):
     assert (g.n, g.edges, g.sorted_adj, g.adj) == (want.n, want.edges, want.sorted_adj, want.adj)
     assert not any(g.has_edge(i, i ^ 1) for i in range(g.n))
     assert g == ref.row_built_sample_graph(sample.sample, eps)
+    assert mirrored(g.indptr, g.indices) and ref.mirrored(g.indptr, g.indices)
+    # a row holding both 2t and 2t + 1 needs a positive threshold, eps > pi/2
+    tails = csr_rows(g.indptr)
+    both = g.edge_ids(tails, g.indices ^ 1) >= 0
+    if count == 150:
+        assert both.any() == (eps > math.pi / 2)
+    else:
+        assert not both.any() or eps > math.pi / 2
 
 
 @given(
@@ -345,6 +357,67 @@ def test_or_rows_matches_reference_on_random_graphs(g):
     check_or_rows(g)
 
 
+# bit-row packing: packbits for dense blocks, reduceat for sparse ones,
+# against the reduceat-only reference
+
+
+@st.composite
+def csr_blocks(draw):
+    """Ascending, duplicate-free CSR rows on 0-200 vertices at a density
+    from empty to full, loops included (not symmetric: pack_rows reads rows
+    only), and a row range lo..hi of them."""
+    n = draw(st.integers(min_value=0, max_value=200))
+    density = draw(st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]))
+    cells = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, n)) < density
+    indptr, indices = csr_from_darts(n, *np.nonzero(cells))
+    lo = draw(st.integers(min_value=0, max_value=n))
+    hi = draw(st.integers(min_value=lo, max_value=n))
+    return indptr, indices, lo, hi
+
+
+@given(
+    csr_blocks(),
+    st.sampled_from([0, graph_module.PACK_CELLS_PER_DART, 10**9]),
+    st.sampled_from([64, 1000, graph_module.PACK_BUFFER_CELLS]),
+)
+@settings(max_examples=200, deadline=None)
+def test_pack_rows_matches_reference(block, cells_per_dart, buffer_cells):
+    # 0 sends every nonempty block to reduceat and 10**9 to packbits; a
+    # buffer of 64 or 1,000 cells packs a block a row or a few rows at a time
+    indptr, indices, lo, hi = block
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "PACK_CELLS_PER_DART", cells_per_dart)
+        patch.setattr(graph_module, "PACK_BUFFER_CELLS", buffer_cells)
+        got = pack_rows(indptr, indices, lo, hi)
+        whole = pack_rows(indptr, indices)
+    want = ref.pack_rows(indptr, indices, lo, hi)
+    assert got.dtype == np.uint64 and got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(whole, ref.pack_rows(indptr, indices))
+
+
+@given(csr_blocks())
+@settings(max_examples=150, deadline=None)
+def test_first_at_least_matches_a_scan_of_each_row(block):
+    # loops put r itself in row r, the first entry >= r
+    indptr, indices, lo, hi = block
+    rows = np.arange(lo, hi)
+    want = [
+        next((i for i in range(indptr[r], indptr[r + 1]) if indices[i] >= r), indptr[r + 1])
+        for r in rows
+    ]
+    assert graph_module._first_at_least(indptr, indices, rows).tolist() == want
+
+
+def test_pack_rows_picks_packbits_for_dense_blocks_only():
+    sample = sample_approximation(2, EPS5, 100, 3).graph  # 14 cells per dart
+    long_cycle = cycle(1501)  # 768 cells per dart
+    for g, dense in [(sample, True), (long_cycle, False)]:
+        with mock.patch.object(np, "packbits", wraps=np.packbits) as spy:
+            got = pack_rows(g.indptr, g.indices)
+        assert spy.called == dense
+        assert np.array_equal(got, ref.pack_rows(g.indptr, g.indices))
+
+
 @st.composite
 def signed_covers(draw):
     """The signed double cover of a small graph: a + edge ab lifts to 2a 2b
@@ -412,6 +485,26 @@ def test_odd_walk_kernel_on_signed_double_covers(cover):
             assert verdict == ref.dense_odd_walk_free(dense(g), length)
             assert verdict == (girth == INFINITE or girth > length)
             assert seen == (set() if length == 1 else {rows})
+
+
+@given(signed_covers(), st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_mirrored_matches_the_dart_sort_reference(cover, block, data):
+    # loops at t and t ^ 1 keep the mirror, a loop at t alone breaks it; a
+    # small ROW_BLOCK makes _mirrors compare the pairs in several blocks
+    broken = [with_edge_breaking_the_mirror(cover), with_two_edges_switched(cover)]
+    loops = data.draw(st.lists(st.integers(0, max(cover.n - 1, 0)), max_size=3)) if cover.n else []
+    paired = np.array(loops + [t ^ 1 for t in loops], dtype=np.int64)
+    cases = [(cover.indptr, cover.indices)] + [(g.indptr, g.indices) for g in broken if g]
+    for t in (paired, paired[: len(loops)]):
+        tails = np.concatenate([csr_rows(cover.indptr), t])
+        cases.append(csr_from_darts(cover.n, tails, np.concatenate([cover.indices, t])))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "ROW_BLOCK", block)
+        for indptr, indices in cases:
+            want = ref.mirrored(indptr, indices)
+            assert mirrored(indptr, indices) == want
+            assert graph_module._mirrors(pack_rows(indptr, indices)) == want
 
 
 def test_sample_girth_checks_take_the_mirrored_rows():

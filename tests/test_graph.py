@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graph_reference as ref
 from graphs import complete, cycle, example7, fuzz_corpus, petersen, random_graph, small_graphs
 from oddwalk import graph as graph_module
 from oddwalk.errors import InputError, ParseError, RefusalError
@@ -126,6 +127,58 @@ def test_parse_refuses_vertex_counts_above_the_limit(monkeypatch):
         parse_graph(f"0 1\n1 {MAX_VERTICES}\n")
     with pytest.raises(AssertionError, match=f"with {MAX_VERTICES} vertices"):
         parse_graph(f"n {MAX_VERTICES}\n")
+
+
+# edge lines, headers, comments and blank lines, well and badly formed
+PARSE_LINES = st.one_of(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)).map(lambda e: f"{e[0]} {e[1]}"),
+    st.sampled_from(
+        [
+            "n 13", "n 3", "n 0", "n -1", "n x", "n 5 6", f"n {MAX_VERTICES + 1}",
+            "", "   ", "# note", "  # indented note", "\t4\t5 ", "1 2 3", "7", "a b",
+            "-1 2", "3 -0", "+4 5", "2 2", f"0 {MAX_VERTICES}", f"{10**30} 1",
+        ]
+    ),
+)
+
+
+def outcome(parse, text):
+    try:
+        g = parse(text)
+    except (ParseError, InputError) as error:
+        return type(error), str(error)
+    return g.n, g.indptr.tolist(), g.indices.tolist()
+
+
+@given(st.lists(PARSE_LINES, max_size=25), st.sampled_from(["\n", "\r\n", "\r"]))
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_tuple_list_reference(lines, newline):
+    text = newline.join(lines)
+    assert outcome(parse_graph, text) == outcome(ref.parse_graph, text)
+
+
+def test_graph_names_the_first_bad_pair_in_any_input_form():
+    # a loop is named as one even when it is also out of range
+    cases = [
+        ([(0, 1), (2, 2), (0, 9)], "self-loop at vertex 2"),
+        ([(0, 1), (0, 9), (2, 2)], r"edge \(0, 9\) out of range for n=3"),
+        ([(1, 2), (-1, 0)], r"edge \(-1, 0\) out of range for n=3"),
+        ([(7, 7), (0, 3)], "self-loop at vertex 7"),
+        ([(2, 0), (3, 0)], r"edge \(3, 0\) out of range for n=3"),
+    ]
+    for edges, message in cases:
+        for form in (edges, iter(edges), np.array(edges)):
+            with pytest.raises(InputError, match=message):
+                Graph(3, form)
+    with pytest.raises(InputError, match="out of range for n=3"):
+        Graph(3, [(0, 2**70)])
+    for bad in ([(0, 1, 2)], [(0, 1, 2), (1, 2, 0)], [(0, 1), (2,)], np.zeros(4, dtype=np.int64)):
+        with pytest.raises(ValueError):
+            Graph(3, bad)
+    want = Graph(3, [(0, 1), (1, 2)])
+    for form in ({(2, 1), (0, 1)}, iter([(1, 0), (1, 2)]), np.array([[0, 1], [2, 1], [1, 0]])):
+        assert Graph(3, form) == want
+    assert Graph(3, ()) == Graph(3, np.empty((0, 2), dtype=np.int64)) == Graph(3, iter([]))
 
 
 @st.composite
