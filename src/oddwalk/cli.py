@@ -29,13 +29,14 @@ from .closure import (
     parse_hom,
     serialize_hom,
 )
-from .coloring import bounded_coloring_pipeline
+from .coloring import PRODUCT_4COLOR, bounded_coloring_pipeline
 from .errors import OddwalkError, ParseError, InputError
 from .graph import INFINITE, mirrored, odd_girth, parse_graph, serialize_graph
 from .homotopy import (
     are_homotopic,
     check_simply_connected,
     parse_walk,
+    replay_moves,
 )
 from .homsearch import FOUND, fold_search, hom_exists
 from .ncomplex import build_ncomplex, h1_homology
@@ -214,8 +215,6 @@ def cmd_homotopy(args) -> tuple[int, dict]:
     elapsed = time.perf_counter() - t0
     verification = {}
     if verdict.moves is not None:
-        from .homotopy import replay_moves
-
         verification["witness_replays"] = replay_moves(p, verdict.moves) == q
         if args.out:
             _write(args.out, "\n".join(m.format() for m in verdict.moves) + "\n")
@@ -263,7 +262,7 @@ def cmd_color_pipeline(args) -> tuple[int, dict]:
     if args.trace:
         _write(args.trace, json.dumps(trace.describe(), indent=2) + "\n")
     proper = coloring.is_proper(g)
-    within = coloring.palette_size < 8 * args.r * args.r or trace.branch == "PRODUCT_4COLOR"
+    within = coloring.palette_size < 8 * args.r * args.r or trace.branch == PRODUCT_4COLOR
     report = _report(
         "color-pipeline",
         {

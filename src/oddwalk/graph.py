@@ -1,6 +1,6 @@
 """Undirected simple graphs on dense integer vertex ids, plus the parity,
-girth, degeneracy and small-scale chromatic utilities the rest of the
-library is built on.
+girth, degeneracy and greedy coloring utilities the rest of the library is
+built on.
 
 Vertices are 0..n-1.  A graph is stored once, as compressed sparse rows:
 two int64 arrays, `indptr` and `indices`, list every vertex's neighbours in
@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, ParseError, RefusalError
+from .errors import InputError, ParseError
 from .traverse import (
     NO,
     UNKNOWN,
@@ -386,9 +386,9 @@ class Coloring:
     def colors_used(self) -> int:
         return len(set(self.assignment.values()))
 
-    def is_proper(self, g: Graph, require_total: bool = True) -> bool:
+    def is_proper(self, g: Graph) -> bool:
         a = self.assignment
-        if require_total and any(v not in a for v in range(g.n)):
+        if any(v not in a for v in range(g.n)):
             return False
         for u, v in g.edges:
             if u in a and v in a and a[u] == a[v]:
@@ -751,80 +751,5 @@ def greedy_coloring(g: Graph, order: Sequence[int]) -> Coloring:
     return Coloring(assignment, max(top, 1))
 
 
-def connected_components(g: Graph) -> list[set[int]]:
-    seen: set[int] = set()
-    comps = []
-    for v in range(g.n):
-        if v in seen:
-            continue
-        comp = set(bfs([v], g.sorted_neighbors))
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
-# ---------------------------------------------------------------------------
-# exact chromatic number at desk scale
-
-
-def _greedy_clique(g: Graph) -> list[int]:
-    """Greedy clique from the highest-degree vertex; a cheap lower bound."""
-    if g.n == 0:
-        return []
-    best: list[int] = []
-    for seed in sorted(range(g.n), key=lambda v: -g.degree(v))[: min(g.n, 8)]:
-        clique = [seed]
-        candidates = set(g.adj[seed])
-        while candidates:
-            v = min(candidates, key=lambda u: (-len(candidates & g.adj[u]), u))
-            clique.append(v)
-            candidates &= g.adj[v]
-        if len(clique) > len(best):
-            best = clique
-    return best
-
-
-def _k_colorable(g: Graph, k: int) -> Optional[dict[int, int]]:
-    """Backtracking k-colorability with symmetry breaking on new colors."""
-    order = degeneracy_order(g)[0][::-1]
-    assignment: dict[int, int] = {}
-
-    def backtrack(i: int, used: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        forbidden = {assignment[w] for w in g.adj[v] if w in assignment}
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if c in forbidden:
-                continue
-            assignment[v] = c
-            if backtrack(i + 1, max(used, c + 1)):
-                return True
-            del assignment[v]
-        return False
-
-    return dict(assignment) if backtrack(0, 0) else None
-
-
-def exact_chromatic(g: Graph, vertex_cap: int = 30) -> int:
-    """Exact chromatic number via branch and bound, refused above vertex_cap."""
-    if g.n > vertex_cap:
-        raise RefusalError(
-            f"graph has {g.n} > {vertex_cap} vertices; use degeneracy/clique bounds instead"
-        )
-    if g.n == 0:
-        return 0
-    if not g.num_edges():
-        return 1
-    order, degen = degeneracy_order(g)
-    upper = greedy_coloring(g, order[::-1]).colors_used()
-    lower = max(2, len(_greedy_clique(g)))
-    for k in range(lower, upper):
-        if _k_colorable(g, k) is not None:
-            return k
-    return upper
+    return g.n <= 1 or len(bfs([0], g.sorted_neighbors)) == g.n

@@ -209,6 +209,8 @@ def fold_search(
     shared neighbourhood size first, one seeded stream draw per
     non-adjacent pair breaking ties, `candidate_cap` per state.
     """
+    if beam < 1:
+        raise InputError("beam must be at least 1")
     for length in sorted(forbidden_odd_lengths):
         if length % 2 == 0 or length < 3:
             raise InputError("forbidden lengths must be odd and at least 3")

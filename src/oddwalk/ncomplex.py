@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 from .errors import InputError, RefusalError
 from .graph import Graph, canon_edge
-from .homotopy import Walk
+from .homotopy import HOMOTOPIC, Walk
+from .homotopy import UNKNOWN as HUNKNOWN
 from .snf import smith_normal_form
 from .traverse import bfs, meet_in_the_middle
 
@@ -498,8 +499,6 @@ def equivalent_edge_paths(
 
     Returns HOMOTOPIC or UNKNOWN (the moves cannot certify inequivalence).
     """
-    from .homotopy import HOMOTOPIC, UNKNOWN as HUNKNOWN
-
     if length_cap is None:
         length_cap = max(len(q1.vertices), len(q2.vertices)) + 4
 

@@ -4,8 +4,8 @@ Three generations of the library's kernel, each the reference of the next:
 - the dictionary union-find versions that `oddwalk.closure` and
   `oddwalk.coloring` used before the array kernel (`c4_partition`,
   `phi_partition`, `c4_bundles`), the semantic reference.  `c4_bundles`
-  is also the reference behind `coloring.c4_chain`, which opens bundles on
-  demand: `traversal_reference.c4_chain` searches the bundles it lists;
+  also lists the bundles that `traversal_reference.c4_chain` searches for
+  the ear chains of ear_chain.py;
 - the codegree matrix product that found the vertex pairs with two common
   neighbours before the bit-row kernel (`c4_pairs`);
 - the array kernel that merged a spanning forest of each vertex's wedges
@@ -17,8 +17,7 @@ Three generations of the library's kernel, each the reference of the next:
 
 The differential tests in test_closure_kernel.py require the library to
 agree with them exactly: same pairs, same per-edge labels, same class
-numbering, same class contents; test_traverse.py requires the same ear
-chains.
+numbering, same class contents.
 """
 
 import numpy as np

@@ -32,6 +32,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from chromatic import exact_chromatic
 from graphs import complete, cycle, example7, fuzz_corpus, petersen, random_graph
 from oddwalk.borsuk import (
     cap_measure,
@@ -55,7 +56,6 @@ from oddwalk.coloring import bounded_coloring_pipeline
 from oddwalk.errors import ConstructionError, SearchFailure
 from oddwalk.graph import (
     canon_edge,
-    exact_chromatic,
     has_cycle_of_length,
     shortest_odd_cycle,
 )
@@ -218,7 +218,7 @@ def test_criterion_4_pivot_contract():
                 phi = GraphHom.identity(g)
             else:
                 chi = exact_chromatic(g)
-                from oddwalk.graph import _k_colorable
+                from chromatic import _k_colorable
 
                 col = _k_colorable(g, chi)
                 phi = GraphHom(g, complete(chi), tuple(col[v] for v in range(g.n)))

@@ -69,6 +69,10 @@ def test_usage_error_exit_codes(tmp_path):
         ["fold", "--graph", gp, "--forbid", "5,x"],
         dhom + ["--N-list", "10,x", "--seeds", "1"],
         dhom + ["--N-list", "10", "--seeds", "1,x"],
+        ["fold", "--graph", gp, "--forbid", "5", "--beam", "0"],
+        ["fold", "--graph", gp, "--forbid", "5", "--beam", "-1"],
+        # the default fold budget runs the fold, which checks the beam
+        ["experiment-dhom", "--n", "2", "--r", "2", "--N-list", "10", "--seeds", "1", "--beam", "0"],
     ):
         code, report = run_cli(argv)
         assert (code, report["kind"]) == (USAGE_ERROR, "InputError"), argv

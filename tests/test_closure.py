@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from chromatic import exact_chromatic
 from graphs import complete, cycle, example7, random_graph
 from oddwalk.closure import (
     EdgeMultiset,
@@ -19,7 +20,7 @@ from oddwalk.closure import (
     serialize_hom,
 )
 from oddwalk.errors import HypothesisError, InputError
-from oddwalk.graph import Graph, canon_edge, exact_chromatic, is_bipartite
+from oddwalk.graph import Graph, canon_edge, is_bipartite
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def test_phi_partition_is_partition_with_coherent_images():
 
 
 def _proper_coloring(g, k):
-    from oddwalk.graph import _k_colorable
+    from chromatic import _k_colorable
 
     col = _k_colorable(g, k)
     assert col is not None
@@ -150,7 +151,7 @@ def _proper_coloring(g, k):
 
 
 def _components_of(g):
-    from oddwalk.graph import connected_components
+    from traversal_reference import connected_components
 
     return connected_components(g)
 

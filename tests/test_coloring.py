@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ear_chain import ear_chain_witness
 from graphs import complete, cycle, petersen, random_graph
 from oddwalk import coloring as coloring_module
 from oddwalk.closure import GraphHom
@@ -12,7 +13,6 @@ from oddwalk.coloring import (
     bounded_coloring_pipeline,
     color_ball,
     color_closure_subgraph,
-    ear_chain_witness,
     extend_coloring,
     shortest_odd_cycle_meeting,
 )
@@ -164,7 +164,8 @@ def test_closure_coloring_k4():
 def test_closure_coloring_c5_plus_far_component():
     g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7)])
     out = color_closure_subgraph(g, (0, 1), 3)
-    assert out.is_proper(g, require_total=False)
+    a = out.assignment
+    assert all(a[u] != a[v] for u, v in g.edges if u in a and v in a)
     assert set(out.assignment) <= {0, 1, 2, 3, 4}
     assert out.palette_size <= 5 * 12
 
@@ -482,7 +483,7 @@ def test_layers_have_low_degree_vertex_in_free_graphs():
                     sub = g.subgraph_on_edges(
                         [e for e in g.edges if e[0] in layer and e[1] in layer]
                     )
-                    from oddwalk.graph import connected_components
+                    from traversal_reference import connected_components
 
                     for comp in connected_components(sub):
                         comp = comp & layer

@@ -176,6 +176,13 @@ def test_fold_rejects_dirty_input():
         fold_search(cycle(5), {4})
 
 
+def test_fold_rejects_a_beam_below_one():
+    # a level cut to [:beam] keeps no state at beam 0 and drops the last one at -1
+    for beam in (0, -1):
+        with pytest.raises(InputError, match="beam must be at least 1"):
+            fold_search(cycle(7), {5}, beam=beam, seed=3)
+
+
 def test_fold_quotients_are_homomorphic_images():
     rnd = random.Random(31)
     done = 0

@@ -32,18 +32,17 @@ from graphs import (
 from oddwalk import graph as graph_module
 from oddwalk import homsearch
 from oddwalk.borsuk import sample_approximation
-from oddwalk.coloring import _cycle_through_edge, c4_chain, color_closure_subgraph
+from oddwalk.coloring import _cycle_through_edge, color_closure_subgraph
 from oddwalk.errors import OddwalkError
 from oddwalk.graph import (
     NO,
     YES,
     Graph,
-    canon_edge,
-    connected_components,
     degeneracy_order,
     double_cover_odd_walk,
     has_cycle_of_length,
     is_bipartite,
+    is_connected,
     shortest_odd_cycle,
 )
 from oddwalk.homotopy import Walk, are_homotopic
@@ -63,6 +62,8 @@ CORPUS = fuzz_corpus() + [
     cycle(4),
     cycle(9),
     complete(6),
+    Graph(1, []),
+    Graph(4, [(1, 2), (2, 3), (3, 1)]),  # vertex 0, where a BFS from 0 starts, isolated
 ]
 
 
@@ -131,13 +132,8 @@ def check_cycle_searches(g, lengths, budgets=BUDGETS):
             assert _cycle_through_edge(g, e, k) == ref.cycle_through_edge(g, e, k)
 
 
-def check_c4_chains(g):
-    cycle_ = shortest_odd_cycle(g)
-    if cycle_ is None:
-        return
-    starts = [canon_edge(a, b) for a, b in zip(cycle_, cycle_[1:])]
-    for goal in g.edges:
-        assert c4_chain(g, starts, goal) == ref.c4_chain(g, starts, goal)
+def check_connected(g):
+    assert is_connected(g) == (len(ref.connected_components(g)) <= 1)
 
 
 def closure_coloring_outcome(color, g, f, r):
@@ -164,7 +160,7 @@ def test_kernels_match_reference_on_corpus(index):
     g = CORPUS[index]
     check_bipartite_and_walks(g)
     check_cycle_searches(g, range(3, min(g.n, 8) + 1))
-    check_c4_chains(g)
+    check_connected(g)
     assert degeneracy_order(g) == ref.degeneracy_order(g)
 
 
@@ -173,13 +169,14 @@ def test_kernels_match_reference_on_corpus(index):
 def test_kernels_match_reference_on_random_graphs(g):
     check_bipartite_and_walks(g)
     check_cycle_searches(g, range(3, min(g.n, 7) + 1), budgets=(3, 50, 10**5))
-    check_c4_chains(g)
+    check_connected(g)
     assert degeneracy_order(g) == ref.degeneracy_order(g)
 
 
 def test_kernels_match_reference_on_300_vertex_sample():
     g = sample_approximation(2, EPS5, 150, 5001).graph  # seed-pinned, 4,276 edges
     check_bipartite_and_walks(g)
+    check_connected(g)
     assert degeneracy_order(g) == ref.degeneracy_order(g)
     for k in (3, 5, 7):
         for budget in (50, 10**4):
@@ -191,10 +188,6 @@ def test_kernels_match_reference_on_300_vertex_sample():
     for e in g.edges[::1069]:  # the reference's looser pruning makes it slow here
         for length in (3, 5, 7):
             assert _cycle_through_edge(g, e, length) == ref.cycle_through_edge(g, e, length)
-    cycle_ = shortest_odd_cycle(g)
-    starts = [canon_edge(a, b) for a, b in zip(cycle_, cycle_[1:])]
-    for goal in g.edges[::713]:
-        assert c4_chain(g, starts, goal) == ref.c4_chain(g, starts, goal)
 
 
 def friendship(k):
@@ -376,7 +369,7 @@ def check_path_dfs(g, rnd):
     otherwise, so budgets land inside the counted blocks."""
     if g.n == 0:
         return
-    component = {v: i for i, comp in enumerate(connected_components(g)) for v in comp}
+    component = {v: i for i, comp in enumerate(ref.connected_components(g)) for v in comp}
     for steps in range(1, 7):
         for use_lowest, use_blocked, use_prune in itertools.product((False, True), repeat=3):
             start, end = rnd.randrange(g.n), rnd.randrange(g.n)

@@ -21,6 +21,10 @@ counted from the graph's bit rows (with and without distances), and
 array sort.  `color_closure_subgraph` is the closure colouring that ran one
 BFS per cycle vertex and took each vertex's nearest one as the minimum of
 (distance, cycle vertex), before one multi-source BFS carried the anchors.
+`c4_chain` is the shortest chain of edges through shared 4-cycles over
+every bundle that `closure_reference.c4_bundles` lists; the ear chains of
+ear_chain.py walk it.  `connected_components` is the one-BFS-per-component
+split that `graph.is_connected` counted before it became a single BFS.
 """
 
 import math
@@ -30,7 +34,7 @@ from typing import Optional
 from closure_reference import c4_bundles
 from oddwalk import graph
 from oddwalk.closure import GraphHom, InvariantOracle, c4_partition
-from oddwalk.coloring import _bundle_c4, color_ball, shortest_odd_cycle_meeting
+from oddwalk.coloring import color_ball, shortest_odd_cycle_meeting
 from oddwalk.errors import HypothesisError, ViolationError
 from oddwalk.graph import NO, UNKNOWN, YES, Coloring, CycleSearch, canon_edge
 from oddwalk.homotopy import (
@@ -49,6 +53,18 @@ from oddwalk.homotopy import (
 from oddwalk.homsearch import FOUND, NONE, TIMEOUT
 from oddwalk.ncomplex import _edgepath_moves
 from oddwalk.traverse import bfs, depths
+
+
+def connected_components(g):
+    seen = set()
+    comps = []
+    for v in range(g.n):
+        if v in seen:
+            continue
+        comp = set(bfs([v], g.sorted_neighbors))
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 def is_bipartite(g):
@@ -260,6 +276,22 @@ def cycle_through_vertex_status(g, w, length, budget):
         return (YES, expansions) if dfs(w, length - 1) else (NO, expansions)
     except Budget:
         return (UNKNOWN, expansions)
+
+
+def _bundle_c4(u, w, common, e1, e2):
+    """A 4-cycle of the bundle containing both edges (as canonical pairs)."""
+
+    def spoke(e):
+        if u in e:
+            return (u, e[0] if e[1] == u else e[1])
+        return (w, e[0] if e[1] == w else e[1])
+
+    hub1, a = spoke(e1)
+    hub2, b = spoke(e2)
+    if a != b:
+        return (u, a, w, b)
+    alt = next(x for x in common if x != a)
+    return (u, a, w, alt)
 
 
 def c4_chain(h, start_edges, goal):
