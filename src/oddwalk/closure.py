@@ -356,8 +356,9 @@ class InvariantOracle:
         _require_source(f, self.phi)
         plain = [0] * len(self.partition.sizes)
         anchored: Counter = Counter()
-        for e, m in f.counts.items():
-            cid = self.partition.class_of[e]
+        us, ws = np.array(list(f.counts), dtype=np.int64).reshape(-1, 2).T
+        cids = self.partition.labels[self.partition.owner.edge_ids(us, ws)].tolist()
+        for (e, m), cid in zip(f.counts.items(), cids):
             plain[cid] ^= m & 1
             if m & 1:
                 for u in {self.phi.mapping[e[0]], self.phi.mapping[e[1]]}:

@@ -12,6 +12,7 @@ sequences.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -211,6 +212,64 @@ def _moves(g: Graph, vs: tuple[int, ...], length_cap: int):
                 yield (INS, i, w), head + (w,) + tail
 
 
+def _key(vs: Sequence[int]) -> bytes:
+    """The search key of a vertex sequence: one native 4-byte word per vertex."""
+    return array("I", vs).tobytes()
+
+
+def _vertices(key: bytes) -> tuple[int, ...]:
+    return tuple(memoryview(key).cast("I"))
+
+
+def _key_moves(g: Graph, length_cap: int):
+    """successors(key): the keys of `_moves(g, vs, length_cap)`'s successors
+    for the walk keyed `key`, in the same order, repeats included.
+
+    Each successor is sliced out of the key with the new words spliced in.
+    A vertex's word, a vertex pair's common neighbours as words, and each
+    vertex's insertion pairs w·u are built on first use and kept for the
+    successor function's lifetime (one query).
+    """
+    adj, nbrs = g.adj, g.sorted_adj
+    words: dict = {}
+    common: dict = {}
+    detours: dict = {}
+
+    def word(v: int) -> bytes:
+        if v not in words:
+            words[v] = _key((v,))
+        return words[v]
+
+    def successors(key: bytes) -> list:
+        vs = memoryview(key).cast("I")
+        k = len(vs) - 1
+        out = []
+        for i in range(1, k):
+            lo, mid, hi = key[: 4 * i], key[4 * i : 4 * i + 4], key[4 * i + 4 :]
+            a, b = vs[i - 1], vs[i + 1]
+            if a == b:
+                out.append(lo + hi[4:])
+            pair = (a, b)
+            if pair not in common:
+                common[pair] = [word(v) for v in sorted(adj[a] & adj[b])]
+            out += [lo + c + hi for c in common[pair] if c != mid]
+        if k + 2 <= length_cap:
+            for i in range(k + 1):
+                u = vs[i]
+                if u not in detours:
+                    detours[u] = [word(w) + word(u) for w in nbrs[u]]
+                head, tail = key[: 4 * i + 4], key[4 * i + 4 :]
+                out += [head + wu + tail for wu in detours[u]]
+        return out
+
+    return successors
+
+
+def _label(g: Graph, before: tuple, after: tuple, length_cap: int) -> tuple:
+    """The first move, in `_moves` order, that takes `before` to `after`."""
+    return next(label for label, vs in _moves(g, before, length_cap) if vs == after)
+
+
 def legal_moves(walk: Walk, length_cap: int):
     """All (move, successor) pairs within the length cap, in sorted order."""
     g = walk.graph
@@ -249,6 +308,13 @@ def are_homotopic(
     meets in the middle, yielding a validated move sequence, or gives up
     with UNKNOWN once `state_cap` states have been expanded or both
     reachable sets are exhausted under the length cap.
+
+    The search keys each walk as bytes (`_key`) and expands it into the
+    keys of `_moves`'s successors, in their order (`_key_moves`), storing
+    no move labels.  The witness is read off the two chains of walks it
+    returns: each step's move is the first in `_moves` order that takes
+    one walk to the next, which is the move the step was discovered by;
+    the q-side moves are inverted and the whole sequence is replayed.
     """
     if p.graph != g or q.graph != g:
         raise InputError("walks must live in the given graph")
@@ -264,14 +330,15 @@ def are_homotopic(
         return HomotopyVerdict(NOT_HOMOTOPIC, separator=spec)
 
     explored, chains = meet_in_the_middle(
-        p.vertices, q.vertices, lambda vs: _moves(g, vs, length_cap), state_cap
+        _key(p.vertices), _key(q.vertices), _key_moves(g, length_cap), state_cap
     )
     if chains is None:
         return HomotopyVerdict(UNKNOWN, states_explored=explored)
-    forward, backward = chains
+    forward, backward = ([_vertices(key) for key in chain] for chain in chains)
+    moves = [Move(*_label(g, a, b, length_cap)) for a, b in zip(forward, forward[1:])]
     # invert the q-side path to continue from the meeting walk to q
-    moves = [Move(*label) for _, label in forward]
-    for before, label in reversed(backward):
+    for before, after in reversed(list(zip(backward, backward[1:]))):
+        label = _label(g, before, after, length_cap)
         moves.append(inverse_move(Walk(g, before), Move(*label)))
     replayed = replay_moves(p, moves)
     assert replayed == q, "witness failed to replay"

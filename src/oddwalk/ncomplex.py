@@ -502,8 +502,7 @@ def equivalent_edge_paths(
     if length_cap is None:
         length_cap = max(len(q1.vertices), len(q2.vertices)) + 4
 
-    def successors(vs):
-        return ((None, succ) for succ in _edgepath_moves(k, vs, length_cap))
-
-    _, chains = meet_in_the_middle(q1.vertices, q2.vertices, successors, state_cap)
+    _, chains = meet_in_the_middle(
+        q1.vertices, q2.vertices, lambda vs: _edgepath_moves(k, vs, length_cap), state_cap
+    )
     return HUNKNOWN if chains is None else HOMOTOPIC

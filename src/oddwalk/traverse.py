@@ -6,7 +6,7 @@ layered search runs on bit columns, in `graph.shortest_odd_cycle`.)
 
 All of them are iterative, so input size never turns into recursion depth,
 and deterministic: states are discovered in the order the successor
-function yields them.
+function lists them.
 """
 
 from __future__ import annotations
@@ -233,21 +233,24 @@ def meet_in_the_middle(
 ) -> tuple[int, Optional[tuple[list, list]]]:
     """Bidirectional breadth-first search between two states.
 
-    `successors(state)` yields (label, next state) pairs.  Each round
-    expands the whole frontier of the side with the smaller frontier (the
-    start side on ties, never an empty one) and ends the search when a
-    newly discovered state is known to the other side.  The search gives
-    up once `state_cap` states have been expanded or both sides are
-    exhausted.
+    `successors(state)` returns the list of next states, in a fixed order;
+    it may hold repeats and states already seen.  Each round expands the
+    whole frontier of the side with the smaller frontier (the start side on
+    ties, never an empty one).  An expansion keeps the successors its side
+    has not seen, first occurrences in list order, each with the expanded
+    state as its parent; the search ends at the first of them the other
+    side already holds.  It gives up once `state_cap` states have been
+    expanded or both sides are exhausted.  Only parents are stored: a
+    caller that needs the move between two states recomputes it from the
+    chain.
 
     Returns (states expanded, chains).  `chains` is None when the search
-    gave up; otherwise it is (forward, backward), the (state, label) steps
-    from `start` and from `goal` to the meeting state, each in the order
-    they were taken.
+    gave up; otherwise it is (forward, backward), the states from `start`
+    and from `goal` to the meeting state, both ends included.
     """
     if start == goal:
-        return 0, ([], [])
-    sides = [({start: None}, deque([start])), ({goal: None}, deque([goal]))]
+        return 0, ([start], [goal])
+    sides = [({start: None}, [start]), ({goal: None}, [goal])]
     explored = 0
     while sides[0][1] or sides[1][1]:
         if explored >= state_cap:
@@ -257,25 +260,17 @@ def meet_in_the_middle(
             idx = 1 - idx
         seen, frontier = sides[idx]
         other = sides[1 - idx][0]
-        for _ in range(len(frontier)):
-            state = frontier.popleft()
+        grown: list = []
+        sides[idx] = seen, grown
+        for state in frontier:
             explored += 1
             if explored > state_cap:
                 return explored, None
-            for label, succ in successors(state):
-                if succ in seen:
-                    continue
-                seen[succ] = (state, label)
-                frontier.append(succ)
-                if succ in other:
-                    return explored, (_steps(sides[0][0], succ), _steps(sides[1][0], succ))
+            fresh = dict.fromkeys([s for s in successors(state) if s not in seen], state)
+            seen.update(fresh)
+            grown.extend(fresh)
+            if not other.keys().isdisjoint(fresh):
+                meet = next(s for s in fresh if s in other)
+                return explored, tuple(path_to_root(side[0], meet)[::-1] for side in sides)
     return explored, None
 
-
-def _steps(seen: dict, state) -> list:
-    """(state before, label) pairs from the side's root to `state`."""
-    chain = []
-    while seen[state] is not None:
-        chain.append(seen[state])
-        state = seen[state][0]
-    return chain[::-1]

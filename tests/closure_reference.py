@@ -5,7 +5,9 @@ Three generations of the library's kernel, each the reference of the next:
   `oddwalk.coloring` used before the array kernel (`c4_partition`,
   `phi_partition`, `c4_bundles`), the semantic reference.  `c4_bundles`
   also lists the bundles that `traversal_reference.c4_chain` searches for
-  the ear chains of ear_chain.py;
+  the ear chains of ear_chain.py.  `oracle_profile` is
+  `InvariantOracle.profile` reading each class id from the dictionary view
+  `class_of` instead of the partition's labels;
 - the codegree matrix product that found the vertex pairs with two common
   neighbours before the bit-row kernel (`c4_pairs`);
 - the array kernel that merged a spanning forest of each vertex's wedges
@@ -17,8 +19,10 @@ Three generations of the library's kernel, each the reference of the next:
 
 The differential tests in test_closure_kernel.py require the library to
 agree with them exactly: same pairs, same per-edge labels, same class
-numbering, same class contents.
+numbering, same class contents, same invariant profiles.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -171,3 +175,17 @@ def c4_labels(h):
         left.append(ids[moved])
         right.append(ids[root[moved]])
     return _components(m, np.concatenate(left), np.concatenate(right))
+
+
+def oracle_profile(oracle, f):
+    """(class parities, anchored parities) of the multiset f, as nested tuples."""
+    partition, mapping = oracle.partition, oracle.phi.mapping
+    plain = [0] * len(partition.sizes)
+    anchored = Counter()
+    for e, m in f.counts.items():
+        cid = partition.class_of[e]
+        plain[cid] ^= m & 1
+        if m & 1:
+            for u in {mapping[e[0]], mapping[e[1]]}:
+                anchored[(cid, u)] ^= 1
+    return tuple(plain), tuple(sorted(k for k, v in anchored.items() if v))

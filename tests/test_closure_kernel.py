@@ -20,7 +20,15 @@ from hypothesis import strategies as st
 import closure_reference as ref
 from graphs import complete, cycle, example7, fuzz_corpus, path, petersen, random_graph, small_graphs
 from oddwalk.borsuk import sample_approximation, tetrahedral_hom
-from oddwalk.closure import GraphHom, _c4_labels, _c4_pairs, c4_partition, phi_partition
+from oddwalk.closure import (
+    EdgeMultiset,
+    GraphHom,
+    InvariantOracle,
+    _c4_labels,
+    _c4_pairs,
+    c4_partition,
+    phi_partition,
+)
 from oddwalk.graph import Graph, canon_edge
 
 EPS5 = math.pi / 5
@@ -264,3 +272,60 @@ def test_is_stable_on_subsets_and_unions():
     assert not part.is_stable(square - {(0, 1)})
     assert not part.is_stable(frozenset({(0, 1), (3, 4)}))
     assert part.is_stable(frozenset(g.edges))
+
+
+# ---------------------------------------------------------------------------
+# the invariant oracle's profile, read from the labels
+
+
+def random_multisets(g, rnd, count):
+    """Edge multisets of g: empty, every edge once, and random ones with
+    multiplicities 1-3."""
+    edges = list(g.edges)
+    out = [EdgeMultiset.from_edges(g, []), EdgeMultiset.from_edges(g, edges)]
+    for _ in range(count if edges else 0):
+        picked = rnd.sample(edges, rnd.randint(1, len(edges)))
+        out.append(EdgeMultiset.from_edges(g, [e for e in picked for _ in range(rnd.randint(1, 3))]))
+    return out
+
+
+def assert_same_profiles(phi, multisets):
+    oracle = InvariantOracle(phi)
+    for f in multisets:
+        assert oracle.profile(f) == ref.oracle_profile(oracle, f)
+
+
+def test_oracle_profile_matches_reference_on_corpus():
+    rnd = random.Random(12)
+    for g in CORPUS:
+        assert_same_profiles(GraphHom.identity(g), random_multisets(g, rnd, 20))
+        labels = [rnd.randrange(3) for _ in range(g.n)]
+        phi = quotient_hom(g, labels)
+        assert_same_profiles(phi, random_multisets(phi.source, rnd, 20))
+
+
+@given(small_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_oracle_profile_matches_reference_on_random_graphs(g, data):
+    rnd = random.Random(data.draw(st.integers(0, 10**6)))
+    assert_same_profiles(GraphHom.identity(g), random_multisets(g, rnd, 5))
+    phi = quotient_hom(g, data.draw(st.lists(st.integers(0, 4), min_size=g.n, max_size=g.n)))
+    assert_same_profiles(phi, random_multisets(phi.source, rnd, 5))
+
+
+def test_oracle_profile_matches_reference_on_300_vertex_sample():
+    sample = sample_approximation(2, EPS5, 150, 5001)
+    rnd = random.Random(5)
+    multisets = random_multisets(sample.graph, rnd, 10)
+    assert_same_profiles(tetrahedral_hom(sample), multisets)
+    assert_same_profiles(GraphHom.identity(sample.graph), multisets)
+
+
+def test_oracle_profile_builds_no_edge_tuples_or_class_dict():
+    g = sample_approximation(2, EPS5, 150, 1).graph
+    walk = [0, *g.sorted_adj[0][:1], 0]
+    oracle = InvariantOracle(GraphHom.identity(g))
+    oracle.profile(EdgeMultiset.from_walk_vertices(g, walk))
+    assert "class_of" not in vars(oracle.partition)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(g, "edges")  # an unset slot; a plain read would build it

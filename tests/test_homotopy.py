@@ -1,11 +1,16 @@
+import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphs import complete, cycle, example7, fuzz_corpus, petersen
+from graphs import complete, cycle, example7, fuzz_corpus, petersen, small_graphs
+from oddwalk.borsuk import sample_approximation
 from oddwalk.closure import GraphHom, InvariantOracle
 from oddwalk.errors import InputError, MoveError, RefusalError
-from oddwalk.graph import Graph
+from oddwalk.graph import Graph, shortest_odd_cycle
 from oddwalk.homotopy import (
     DEL,
     HOMOTOPIC,
@@ -15,6 +20,10 @@ from oddwalk.homotopy import (
     UNKNOWN,
     Move,
     Walk,
+    _key,
+    _key_moves,
+    _moves,
+    _vertices,
     apply_move,
     are_homotopic,
     check_simply_connected,
@@ -223,6 +232,74 @@ def test_k4_same_endpoint_same_parity_pairs_all_homotopic():
         assert verdict.status == HOMOTOPIC
         assert replay_moves(p, verdict.moves) == q
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# the byte-keyed successors of the search against `_moves`
+
+
+def assert_same_successors(g, vs, length_cap):
+    got = [_vertices(key) for key in _key_moves(g, length_cap)(_key(vs))]
+    assert got == [succ for _, succ in _moves(g, vs, length_cap)], (vs, length_cap)
+
+
+def check_successors(g, vs):
+    k = len(vs) - 1
+    # at the length cap and one below it no insertion fits; two below, all do
+    for cap in (k, k + 1, k + 2, k + 6):
+        assert_same_successors(g, vs, cap)
+
+
+def test_key_successors_match_moves_on_corpus():
+    rnd = random.Random(31)
+    for g in fuzz_corpus():
+        for v in range(g.n):
+            check_successors(g, (v,))
+            for w in g.sorted_adj[v]:
+                check_successors(g, (v, w))
+                check_successors(g, (v, w, v))  # a deletion site
+        for _ in range(40):
+            check_successors(g, _random_walk(g, rnd).vertices)
+
+
+@given(small_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_key_successors_match_moves_on_random_graphs(g, data):
+    if g.n == 0:
+        return
+    vs = [data.draw(st.integers(0, g.n - 1))]
+    for _ in range(data.draw(st.integers(0, 7))):
+        if not g.sorted_adj[vs[-1]]:
+            break
+        vs.append(data.draw(st.sampled_from(g.sorted_adj[vs[-1]])))
+    check_successors(g, tuple(vs))
+
+
+def test_a_repeated_successor_keeps_the_first_label():
+    g = cycle(5)
+    # "ins 0 1" and "ins 1 0" both take 0 1 to 0 1 0 1; the search keeps the first
+    successors = [succ for _, succ in _moves(g, (0, 1), 3)]
+    assert successors.count((0, 1, 0, 1)) == 2
+    verdict = are_homotopic(g, Walk(g, [0, 1]), Walk(g, [0, 1, 0, 1]))
+    assert verdict.status == HOMOTOPIC
+    assert verdict.moves == [Move(INS, 0, 1)]
+
+
+def test_search_memory_on_a_300_vertex_sample():
+    # a 7-cycle against its reverse on the seed-7 sample: no meeting within
+    # 1,000 expansions, about 170 stored walks and 370 successors each
+    g = sample_approximation(2, math.pi / 5, 150, 7).graph
+    c = Walk(g, shortest_odd_cycle(g))
+    assert (g.n, c.length) == (300, 7)
+    tracemalloc.start()
+    try:
+        verdict = are_homotopic(g, c, Walk(g, c.vertices[::-1]), state_cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (verdict.status, verdict.states_explored) == (UNKNOWN, 1001)
+    # 23 MB with byte keys; vertex tuples with a stored move label per walk took 51 MB
+    assert peak < 32 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from oddwalk.homotopy import Walk, are_homotopic
 from oddwalk.homsearch import fold_search, hom_exists
 from oddwalk.ncomplex import build_ncomplex, equivalent_edge_paths, walk_to_edgepath
 from oddwalk.rng import Stream
-from oddwalk.traverse import bfs, depths, path_to_root, simple_path_dfs
+from oddwalk.traverse import bfs, depths, meet_in_the_middle, path_to_root, simple_path_dfs
 
 EPS5 = math.pi / 5
 BUDGETS = (3, 50, 10**7)  # the small ones run out: UNKNOWN with budget + 1 expansions
@@ -654,3 +654,16 @@ def test_bfs_parent_map_and_helpers():
     # the goal stops the search as soon as it is discovered
     assert list(bfs([0], g.sorted_neighbors, goal=4)) == [0, 1, 4]
     assert list(bfs([3, 0], g.sorted_neighbors, goal=0)) == [3, 0]
+
+
+def test_meet_in_the_middle_keeps_first_successors_and_returns_state_chains():
+    # each list repeats a state and starts with the state itself; the search
+    # stores each new state once, with the first state that reached it
+    def successors(s):
+        return [s, s + 1, s + 1, s + 2] if s < 10 else []
+
+    assert meet_in_the_middle(0, 6, successors, 100) == (6, ([0, 2, 4, 6], [6]))
+    assert meet_in_the_middle(3, 3, successors, 100) == (0, ([3], [3]))
+    assert meet_in_the_middle(0, 6, successors, 3) == (4, None)
+    assert meet_in_the_middle(6, 0, successors, 100) == (11, ([6], [0, 2, 4, 6]))
+    assert meet_in_the_middle(11, 12, successors, 100) == (2, None)  # both sides run dry
