@@ -28,7 +28,9 @@ from .homotopy import Walk
 from .rng import Stream, derive_seed
 
 NORM_TOLERANCE = 1e-12
-GRAM_BLOCK = 256  # Gram rows that ApproxGraph.from_sample holds at once
+# bytes of each Gram tile that ApproxGraph.from_sample holds at once (one
+# row at least), small enough that a tile and its products stay in cache
+GRAM_BLOCK = 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -121,18 +123,28 @@ class SphereSample:
         return math.acos(max(-1.0, min(1.0, dot)))
 
 
-def _unit_vector(d: int, stream: Stream) -> list[float]:
-    """A uniform point of the unit sphere in R^d: d normalised Gaussians,
-    drawn again while their norm is (nearly) zero."""
-    while True:
-        coords = [stream.gaussian() for _ in range(d)]
-        norm = math.sqrt(sum(c * c for c in coords))
-        if norm > 1e-9:
-            return [c / norm for c in coords]
+def _unit_vectors(d: int, count: int, stream: Stream) -> np.ndarray:
+    """`count` uniform points of the unit sphere in R^d, as a (count, d)
+    array: each is the next d Gaussians of the stream, normalised, and a
+    d-tuple whose norm is (nearly) zero is dropped for the next one.  The
+    Gaussians come from `stream.gaussians` in bulk, and each point's
+    squares are added by the builtin `sum`, as a per-point loop over
+    `gaussian` would (from Python 3.12 `sum` compensates its rounding, so
+    a numpy sum would round differently), so the points and the stream's
+    state are that loop's."""
+    kept = [np.empty((0, d))]
+    while count:
+        coords = stream.gaussians(count * d).reshape(count, d)
+        squares = map(sum, (coords * coords).tolist())
+        norms = np.sqrt(np.fromiter(squares, dtype=np.float64, count=count))
+        ok = norms > 1e-9
+        kept.append(coords[ok] / norms[ok, None])
+        count -= int(np.count_nonzero(ok))
+    return np.concatenate(kept)
 
 
 def _sample_points(n: int, count: int, stream: Stream) -> np.ndarray:
-    draws = np.array([_unit_vector(n + 1, stream) for _ in range(count)], dtype=np.float64)
+    draws = _unit_vectors(n + 1, count, stream)
     rows = np.empty((2 * count, n + 1), dtype=np.float64)
     rows[0::2] = draws
     rows[1::2] = -draws
@@ -156,38 +168,51 @@ class ApproxGraph:
         nearest commutes with negation, so the Gram entry of 2s ^ a and
         2t ^ b is (-1)^(a+b) G[s, t] bit for bit, where G is the draws'
         Gram matrix.  G is accumulated coordinate by coordinate, in place,
-        so its reduction order is independent of BLAS; GRAM_BLOCK only sets
-        how many rows are held at once (small enough to stay in cache),
-        never an entry's value.  Row 2s holds 2t when G[s, t] < threshold
-        and 2t + 1 when -G[s, t] < threshold; t = s is dropped (the vertex
-        itself and its antipodal self-pairing).  One `np.flatnonzero` lists
-        those entries row by row in ascending columns.  Row 2s + 1 is row
-        2s with every column xor 1, except that a pair 2t, 2t + 1 held by
-        both rows keeps its order.  Both are held only when -threshold <
-        G[s, t] < threshold, so only for a positive threshold (epsilon >
-        pi/2).
+        so its reduction order is independent of BLAS.  It is held in tiles
+        of whole rows, GRAM_BLOCK bytes each (32 rows of 2,000 draws), so
+        that a tile, the coordinate's product added into it and its masks
+        stay in cache; the tiling never changes an entry's value.  Row 2s
+        holds 2t when G[s, t] < threshold and 2t + 1 when -G[s, t] <
+        threshold; t = s is dropped (the vertex itself and its antipodal
+        self-pairing).  For epsilon <= pi/2 the threshold is at most zero,
+        so the two tests are exclusive and together read |G[s, t]| >
+        -threshold: one mask of the tile's cells, one `np.flatnonzero`
+        listing them row by row in ascending t, and column 2t + (G[s, t] >
+        0).  Row 2s + 1 is row 2s with every column xor 1.  Above pi/2 a
+        row can hold both 2t and 2t + 1, when -threshold < G[s, t] <
+        threshold; there both tests go into a mask of two cells per entry,
+        and a pair held by both rows keeps its order in row 2s + 1.
         """
         if not (0.0 < epsilon < math.pi):
             raise InputError("threshold must lie in (0, pi)")
         threshold = -math.cos(epsilon)
         draws = np.ascontiguousarray(sample.points[0::2])
         count, d = draws.shape
-        grams, terms = np.empty((2, min(GRAM_BLOCK, count), count))
+        step = max(1, min(count, GRAM_BLOCK // (8 * count)))
+        grams, terms = np.empty((2, step, count))
         degrees, heads = [], []
-        for start in range(0, count, GRAM_BLOCK):
-            chunk = draws[start : start + GRAM_BLOCK]
+        for start in range(0, count, step):
+            chunk = draws[start : start + step]
             gram, term = grams[: len(chunk)], terms[: len(chunk)]
             np.multiply.outer(chunk[:, 0], draws[:, 0], out=gram)
             for k in range(1, d):
                 gram += np.multiply.outer(chunk[:, k], draws[:, k], out=term)
             local = np.arange(len(chunk))
-            near = np.stack([gram < threshold, gram > -threshold], axis=2)
-            near[local, local + start] = False
-            rows, cols = np.divmod(np.flatnonzero(near), 2 * count)
-            degree = np.bincount(rows, minlength=len(gram))
-            mirror = cols ^ 1
-            if threshold > 0:  # a pair held by both rows keeps its order
+            if threshold > 0:  # a row can hold both 2t and 2t + 1
+                near = np.stack([gram < threshold, gram > -threshold], axis=2)
+                near[local, local + start] = False
+                rows, cols = np.divmod(np.flatnonzero(near), 2 * count)
+                mirror = cols ^ 1
+                # a pair held by both rows keeps its order
                 mirror[near.reshape(len(gram), -1)[rows, mirror]] ^= 1
+            else:  # the two tests are exclusive
+                near = np.abs(gram, out=term) > -threshold
+                near[local, local + start] = False
+                cells = np.flatnonzero(near)
+                rows, cols = np.divmod(cells, count)
+                cols = 2 * cols + (gram.reshape(-1)[cells] > 0)
+                mirror = cols ^ 1
+            degree = np.bincount(rows, minlength=len(gram))
             # row s's entries go to rows 2s and 2s + 1 of the block
             at = np.arange(len(cols)) + (np.cumsum(degree) - degree)[rows]
             block = np.empty(2 * len(cols), dtype=np.int64)
@@ -264,10 +289,7 @@ def covering_radius_estimate(
     done = 0
     while done < probes:
         take = min(block, probes - done)
-        probe_pts = np.empty((take, n + 1))
-        for t in range(take):
-            probe_pts[t] = _unit_vector(n + 1, stream)
-        dots = probe_pts @ sample.points.T
+        dots = _unit_vectors(n + 1, take, stream) @ sample.points.T
         best = np.clip(dots.max(axis=1), -1.0, 1.0)
         worst = max(worst, float(np.arccos(best).max()))
         done += take

@@ -15,6 +15,8 @@ safe to share.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -47,6 +49,10 @@ ROW_BLOCK = 1024
 # or one row if that is more) at a time
 PACK_CELLS_PER_DART = 64
 PACK_BUFFER_CELLS = 2**20
+# or_rows splits its rows across the available cores once rows x steps x
+# words reaches this many words; below it, thread starts cost more than
+# they save
+OR_SPLIT_WORDS = 2**20
 
 
 def canon_edge(u: int, v: int) -> tuple[int, int]:
@@ -120,11 +126,60 @@ def degree_steps(starts, ends, indices: np.ndarray) -> tuple[np.ndarray, list[np
 
 def or_rows(words: np.ndarray, steps: list[np.ndarray], count: int) -> np.ndarray:
     """Row p of `count` rows is the OR of the rows of `words` listed in the
-    p-th row of a `degree_steps` order (zero for an empty row), by steps."""
+    p-th row of a `degree_steps` order (zero for an empty row), by steps.
+
+    When rows x steps x words, a bound on the work, reaches OR_SPLIT_WORDS,
+    the rows are cut into position ranges carrying equal numbers of darts,
+    one a core (`_cores`).  The calling thread ORs the first range and a
+    `threading.Thread` each of the others; numpy releases the interpreter
+    lock in the gathers and ORs, so the ranges run at once.  Each range
+    runs the serial loop on its own rows of the output, so every row is
+    the OR of the same rows whatever the split.  A worker's exception is
+    raised here once every worker has ended."""
     out = np.zeros((count, words.shape[1]), dtype=words.dtype)
-    for x in steps:
-        out[: len(x)] |= words.take(x, axis=0)
+    cores = _cores() if count * len(steps) * words.shape[1] >= OR_SPLIT_WORDS else 1
+    if cores < 2:
+        _or_range(words, steps, out, 0, count)
+        return out
+    # row p has as many darts as the steps longer than p
+    lengths = np.array([len(x) for x in steps])
+    darts = np.searchsorted(-lengths, -np.arange(count))
+    cuts = np.searchsorted(np.cumsum(darts), darts.sum() * np.arange(1, cores) / cores)
+    bounds = [0, *cuts.tolist(), count]
+    errors = []
+
+    def run(a, b):
+        try:
+            _or_range(words, steps, out, a, b)
+        except BaseException as exc:  # raised in the calling thread below
+            errors.append(exc)
+
+    workers = [threading.Thread(target=run, args=ab) for ab in zip(bounds[1:-1], bounds[2:])]
+    for worker in workers:
+        worker.start()
+    try:
+        _or_range(words, steps, out, 0, bounds[1])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
     return out
+
+
+def _or_range(words: np.ndarray, steps: list[np.ndarray], out: np.ndarray, a: int, b: int) -> None:
+    """`or_rows` for the rows at positions a..b-1, into those rows of `out`."""
+    for x in steps:
+        if len(x) <= a:
+            break
+        out[a : min(len(x), b)] |= words.take(x[a:b], axis=0)
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def int_rows(words: np.ndarray) -> list[int]:

@@ -5,7 +5,12 @@ GOLDEN is the 64-bit golden-ratio increment.  Streams depend only on the
 seed and the draw index, never on Python's process state, so experiments
 replay bit-for-bit.  Gaussian variates use Marsaglia's polar method with a
 fixed rejection schedule; cross-platform stability is exact up to libm's
-rounding of log/sqrt (identical on any one machine).
+rounding of log (identical on any one machine; sqrt is correctly rounded).
+
+Draws come one at a time (`next_u64`, `gaussian`) or in bulk
+(`next_u64s`, `gaussians`).  A bulk draw mixes a whole array of counters
+at once and leaves the stream where the same number of single draws
+would, so the two can be mixed freely.
 """
 
 from __future__ import annotations
@@ -59,6 +64,42 @@ class Stream:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
+    def gaussians(self, count: int) -> np.ndarray:
+        """The next `count` values of `gaussian`, as a float64 array, with
+        the counter and the cached half of a pair left where `count` calls
+        would leave them.  The candidate pairs (u, v) come from one array
+        pass over the counters, in the per-call order of arithmetic, and
+        the first of them inside the unit disc are taken, in order.  Each
+        taken pair's log goes through `math.log`, as in `gaussian`, since
+        `np.log` may round differently."""
+        out = np.empty(count)
+        done = 0
+        if count and self._gauss_pending is not None:
+            out[0], self._gauss_pending, done = self._gauss_pending, None, 1
+        pairs = (count - done + 1) // 2
+        kept = []
+        while pairs:
+            tries = _polar_tries(pairs)
+            draws = self.next_u64s(2 * tries, np.arange(2 * tries))
+            uv = 2.0 * ((draws >> np.uint64(11)).astype(np.float64) * 2.0**-53) - 1.0
+            uv = uv.reshape(tries, 2)
+            s = uv[:, 0] * uv[:, 0] + uv[:, 1] * uv[:, 1]
+            taken = np.flatnonzero((0.0 < s) & (s < 1.0))[:pairs]
+            if len(taken) == pairs:  # give back the tries after the last one taken
+                self.counter -= 2 * (tries - 1 - int(taken[-1]))
+            kept.append(uv[taken])
+            pairs -= len(taken)
+        if done < count:
+            uv = np.concatenate(kept)
+            s = uv[:, 0] * uv[:, 0] + uv[:, 1] * uv[:, 1]
+            logs = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=len(s))
+            # u * factor, then v * factor, pair by pair
+            values = (uv * np.sqrt(-2.0 * logs / s)[:, None]).reshape(-1)
+            out[done:] = values[: count - done]
+            if (count - done) % 2:
+                self._gauss_pending = float(values[-1])
+        return out
+
     def gaussian(self) -> float:
         """Standard normal via the polar method (pairs cached)."""
         if self._gauss_pending is not None:
@@ -73,6 +114,13 @@ class Stream:
                 factor = math.sqrt(-2.0 * math.log(s) / s)
                 self._gauss_pending = v * factor
                 return u * factor
+
+
+def _polar_tries(pairs: int) -> int:
+    """Candidate pairs `Stream.gaussians` draws at once to take `pairs` of
+    them: 4/pi tries a pair on average, and the spares make a second pass
+    rare (it takes over eight standard deviations)."""
+    return pairs + pairs * 2 // 7 + 5 * math.isqrt(pairs) + 8
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -15,8 +15,14 @@ before dense blocks went through `np.packbits` and the mirror was read
 off the packed rows.  `row_built_sample_graph` is the sample graph as it
 was built before the Gram blocks went straight to CSR arrays: one Python
 tuple of neighbours per vertex, from `_gram_blocks`, which allocates each
-coordinate's product anew.  test_borsuk.py requires the library to give
-the same verdicts, bit rows and equal graphs.
+coordinate's product anew.  `block_built_sample_graph` is the build
+that followed it, 256 Gram rows at a time with a stacked mask of both
+columns of every pair, before the rows were tiled by bytes and one mask
+of |G| served thresholds up to pi/2.  `unit_vector` is the per-point
+draw, d calls to `Stream.gaussian` at a time, before the points came from
+the stream in bulk, and `covering_radius_estimate` draws its probes with
+it.  test_borsuk.py requires the library to give the same
+verdicts, bit rows, equal graphs and equal points.
 """
 
 import math
@@ -24,8 +30,9 @@ import math
 import numpy as np
 
 from oddwalk.graph import Graph, csr_rows
+from oddwalk.rng import Stream
 
-GRAM_BLOCK = 256  # Gram rows held at once by _gram_blocks
+GRAM_BLOCK = 256  # Gram rows held at once by _gram_blocks and block_built_sample_graph
 
 
 def _odd_walk_free(adjacency: np.ndarray, max_odd: int) -> bool:
@@ -136,3 +143,69 @@ def row_built_sample_graph(sample, epsilon: float) -> Graph:
         near[local, (local + start) ^ 1] = False
         rows.extend(tuple(np.flatnonzero(row).tolist()) for row in near)
     return Graph(sample.size(), [(u, v) for u, row in enumerate(rows) for v in row if u < v])
+
+
+def block_built_sample_graph(sample, epsilon: float) -> Graph:
+    """The graph of `ApproxGraph.from_sample` from GRAM_BLOCK Gram rows of
+    the draws at a time.  Row 2s holds 2t when G[s, t] < threshold and
+    2t + 1 when -G[s, t] < threshold, both marked in one stacked mask, and
+    row 2s + 1 is row 2s with every column xor 1, except that a pair 2t,
+    2t + 1 held by both rows keeps its order."""
+    threshold = -math.cos(epsilon)
+    draws = np.ascontiguousarray(sample.points[0::2])
+    count, d = draws.shape
+    grams, terms = np.empty((2, min(GRAM_BLOCK, count), count))
+    degrees, heads = [], []
+    for start in range(0, count, GRAM_BLOCK):
+        chunk = draws[start : start + GRAM_BLOCK]
+        gram, term = grams[: len(chunk)], terms[: len(chunk)]
+        np.multiply.outer(chunk[:, 0], draws[:, 0], out=gram)
+        for k in range(1, d):
+            gram += np.multiply.outer(chunk[:, k], draws[:, k], out=term)
+        local = np.arange(len(chunk))
+        near = np.stack([gram < threshold, gram > -threshold], axis=2)
+        near[local, local + start] = False
+        rows, cols = np.divmod(np.flatnonzero(near), 2 * count)
+        degree = np.bincount(rows, minlength=len(gram))
+        mirror = cols ^ 1
+        if threshold > 0:  # a pair held by both rows keeps its order
+            mirror[near.reshape(len(gram), -1)[rows, mirror]] ^= 1
+        # row s's entries go to rows 2s and 2s + 1 of the block
+        at = np.arange(len(cols)) + (np.cumsum(degree) - degree)[rows]
+        block = np.empty(2 * len(cols), dtype=np.int64)
+        block[at] = cols
+        block[at + degree[rows]] = mirror
+        degrees.append(np.repeat(degree, 2))
+        heads.append(block)
+    indptr = np.zeros(2 * count + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(degrees), out=indptr[1:])
+    return Graph.from_sorted_unique(2 * count, indptr, np.concatenate(heads))
+
+
+def unit_vector(d: int, stream) -> list:
+    """A uniform point of the unit sphere in R^d: d normalised Gaussians,
+    drawn again while their norm is (nearly) zero."""
+    while True:
+        coords = [stream.gaussian() for _ in range(d)]
+        norm = math.sqrt(sum(c * c for c in coords))
+        if norm > 1e-9:
+            return [c / norm for c in coords]
+
+
+def covering_radius_estimate(sample, probes: int, seed: int) -> float:
+    """`borsuk.covering_radius_estimate` with every probe point drawn by
+    `unit_vector`, 256 probes to a block."""
+    stream = Stream(seed)
+    n = sample.dimension
+    worst = 0.0
+    done = 0
+    while done < probes:
+        take = min(256, probes - done)
+        probe_pts = np.empty((take, n + 1))
+        for t in range(take):
+            probe_pts[t] = unit_vector(n + 1, stream)
+        dots = probe_pts @ sample.points.T
+        best = np.clip(dots.max(axis=1), -1.0, 1.0)
+        worst = max(worst, float(np.arccos(best).max()))
+        done += take
+    return worst

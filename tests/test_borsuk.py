@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -33,7 +35,9 @@ from oddwalk.borsuk import (
     tetrahedral_hom,
 )
 from oddwalk.errors import ConstructionError, InputError, SearchFailure
+from oddwalk import borsuk as borsuk_module
 from oddwalk import graph as graph_module
+from oddwalk import rng as rng_module
 from oddwalk.graph import (
     INFINITE,
     Graph,
@@ -46,6 +50,7 @@ from oddwalk.graph import (
     odd_walk_free,
     or_rows,
     pack_rows,
+    shortest_odd_cycle,
 )
 from oddwalk.rng import Stream, derive_seed
 
@@ -184,6 +189,45 @@ def test_row_built_sample_graph_matches_validated_build(count, eps):
 def test_sample_graph_matches_row_built_reference(count, eps, seed):
     g = sample_approximation(2, eps, count, seed)
     assert g.graph == ref.row_built_sample_graph(g.sample, eps)
+
+
+# counts on both sides of 32-row tiles (1 row, 32 rows, and the default
+# 2**19 bytes, 32 rows of 2,000 draws); the 2,000-draw sample only up to
+# pi/2, since above it nearly every pair is an edge (16M darts near pi)
+TILE_EPS = [math.pi / 7, EPS5, math.pi / 3, math.pi / 2, 2.0, math.pi - 1e-9]
+
+
+@pytest.mark.parametrize(
+    "count, eps",
+    [(c, e) for c in (1, 31, 32, 33, 300, 2000) for e in TILE_EPS if c < 2000 or e <= math.pi / 2],
+)
+def test_tiled_sample_graph_matches_the_block_built_one(count, eps):
+    sample = sample_approximation(2, eps, count, 60 + count)
+    want = ref.block_built_sample_graph(sample.sample, eps)
+    graphs = [sample.graph]
+    for rows in (1, 32):
+        with mock.patch.object(borsuk_module, "GRAM_BLOCK", 8 * count * rows):
+            graphs.append(ApproxGraph.from_sample(sample.sample, eps).graph)
+    for g in graphs:
+        assert np.array_equal(g.indptr, want.indptr)
+        assert np.array_equal(g.indices, want.indices)
+
+
+@pytest.mark.parametrize("eps", TILE_EPS)
+def test_tiled_sample_graph_at_exact_threshold_ties(eps):
+    # the first draw's Gram entries are exactly cos(eps), -cos(eps) and 0:
+    # neither strict test holds at a tie, on either side of pi/2
+    c = math.cos(eps)
+    y = math.sqrt(1.0 - c * c)
+    draws = np.array([[1.0, 0.0, 0.0], [c, y, 0.0], [-c, y, 0.0], [0.0, 0.0, 1.0]])
+    points = np.empty((8, 3))
+    points[0::2], points[1::2] = draws, -draws
+    sample = SphereSample(points, 2, 0)
+    want = ref.block_built_sample_graph(sample, eps)
+    got = ApproxGraph.from_sample(sample, eps).graph
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got == ref.row_built_sample_graph(sample, eps)
 
 
 def test_adjacency_matrix_matches_edges():
@@ -355,6 +399,84 @@ def test_or_rows_matches_reference_on_corpus(index):
 @settings(max_examples=120, deadline=None)
 def test_or_rows_matches_reference_on_random_graphs(g):
     check_or_rows(g)
+
+
+# or_rows split across threads: a work bound of 1 forces the split on any
+# graph with an edge, into as many ranges as the patched core count
+
+
+def split_results(g, cores):
+    """or_rows on random words, odd_walk_free at every odd length and
+    shortest_odd_cycle on g, with or_rows split into `cores` ranges (serial
+    for None), and the number of threads started."""
+    words = np.random.default_rng(g.n).integers(0, 2**64, size=(g.n, 3), dtype=np.uint64)
+    order, steps = degree_steps(g.indptr[:-1], g.indptr[1:], g.indices)
+    with pytest.MonkeyPatch.context() as patch:
+        spy = mock.Mock(wraps=threading.Thread)
+        patch.setattr(graph_module.threading, "Thread", spy)
+        if cores is not None:
+            patch.setattr(graph_module, "OR_SPLIT_WORDS", 1)
+            patch.setattr(graph_module, "_cores", lambda: cores)
+        before = threading.active_count()
+        results = (
+            or_rows(words, steps, g.n).tolist(),
+            [odd_walk_free(g.indptr, g.indices, length) for length in ODD_LENGTHS],
+            shortest_odd_cycle(g),
+        )
+        assert threading.active_count() == before
+    return results, spy.call_count
+
+
+SPLIT_CORPUS = OR_ROWS_CORPUS + fuzz_corpus() + [sample_approximation(2, EPS5, 60, 3).graph]
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("index", range(len(SPLIT_CORPUS)))
+def test_split_or_rows_matches_serial_on_corpus(index, cores):
+    g = SPLIT_CORPUS[index]
+    want, serial_threads = split_results(g, None)
+    got, threads = split_results(g, cores)
+    assert got == want
+    assert serial_threads == 0
+    assert threads > 0 or g.num_edges() == 0
+
+
+@given(small_graphs(), st.integers(min_value=2, max_value=3))
+@settings(max_examples=100, deadline=None)
+def test_split_or_rows_matches_serial_on_random_graphs(g, cores):
+    assert split_results(g, cores)[0] == split_results(g, None)[0]
+
+
+def test_split_or_rows_under_fast_thread_switches():
+    # more ranges than cores, and a switch interval short enough that the
+    # workers interleave in every gather and OR
+    g = random_graph(140, 0.05, 3)
+    want = split_results(g, None)[0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert split_results(g, 8)[0] == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("bad", [0, 5, 11])
+@pytest.mark.parametrize("cores", [None, 2, 3])
+def test_or_rows_raises_an_out_of_range_index_from_any_range(bad, cores):
+    # one dart a row over 12 rows: position 0 is in the first range (the
+    # calling thread's), 5 and 11 in later ones for 2 or 3 ranges
+    words = np.arange(12, dtype=np.uint64).reshape(12, 1)
+    step = np.arange(12)
+    step[bad] = 12
+    with pytest.MonkeyPatch.context() as patch:
+        if cores is not None:
+            patch.setattr(graph_module, "OR_SPLIT_WORDS", 1)
+            patch.setattr(graph_module, "_cores", lambda: cores)
+        before = threading.active_count()
+        with pytest.raises(IndexError):
+            or_rows(words, [step], 12)
+        assert threading.active_count() == before
 
 
 # bit-row packing: packbits for dense blocks, reduceat for sparse ones,
@@ -558,6 +680,16 @@ def test_covering_radius_monotone_in_probes():
     assert est2 >= est1
 
 
+def test_covering_radius_matches_per_point_probes():
+    samples = [_cross_polytope_circle(), sample_approximation(2, EPS5, 50, 21).sample]
+    samples.append(sample_approximation(3, 1.0, 30, 4).sample)
+    for sample in samples:
+        for probes in (1, 255, 256, 257, 700):
+            for seed in (9, 2**63 + 9):
+                want = ref.covering_radius_estimate(sample, probes, seed)
+                assert covering_radius_estimate(sample, probes, seed) == want
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms
 
@@ -717,3 +849,109 @@ def test_stream_draws_in_bulk_match_one_by_one():
             got = bulk.next_u64s(6, at=np.array([0, 2, 5]))
             assert got.tolist() == [want[0], want[2], want[5]]
             assert bulk.counter == one.counter
+
+
+# bulk Gaussians and unit vectors against the per-call stream
+
+
+def stream_state(stream):
+    return stream.counter, stream._gauss_pending
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 101])
+@pytest.mark.parametrize("pending", [False, True])
+def test_bulk_gaussians_and_points_match_per_call_draws(count, pending):
+    check_bulk_draws(count, pending, [*range(40), 2**63 + 1, 2**64 - 1])
+
+
+@pytest.mark.parametrize("tries", [lambda pairs: 1, lambda pairs: pairs // 2 + 1])
+def test_bulk_gaussians_over_several_passes(tries):
+    # too few candidate pairs a pass: the taken pairs come from several
+    # passes, and the last pass gives back its tries after the last taken
+    with mock.patch.object(rng_module, "_polar_tries", tries):
+        for count in (1, 2, 3, 101):
+            for pending in (False, True):
+                check_bulk_draws(count, pending, [*range(8), 2**64 - 1])
+
+
+def check_bulk_draws(count, pending, seeds):
+    for seed in seeds:
+        for d in (1, 2, 3, 4):
+            one, bulk = Stream(seed), Stream(seed)
+            if pending:  # a pair's second half is cached at entry
+                assert one.gaussian() == bulk.gaussian()
+            assert stream_state(one) == stream_state(bulk)
+            want = [one.gaussian() for _ in range(count)]
+            assert bulk.gaussians(count).tolist() == want
+            assert stream_state(bulk) == stream_state(one)
+            want = [ref.unit_vector(d, one) for _ in range(count)]
+            got = borsuk_module._unit_vectors(d, count, bulk)
+            assert got.shape == (count, d) and got.tolist() == want
+            assert stream_state(bulk) == stream_state(one)
+
+
+def test_bulk_points_are_a_prefix_of_longer_runs():
+    for seed in (9, 2**63 + 9):
+        longer = borsuk_module._unit_vectors(3, 700, Stream(seed))
+        assert np.array_equal(borsuk_module._unit_vectors(3, 300, Stream(seed)), longer[:300])
+
+
+def compensated_sum(values):
+    """The builtin `sum` of floats from Python 3.12 on (Neumaier's)."""
+    total = compensation = 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+def left_to_right_sum(values):
+    """The builtin `sum` of floats before Python 3.12."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def test_bulk_points_round_each_norm_as_the_builtin_sum():
+    # whichever rounding the interpreter's `sum` has, both paths share it;
+    # the two roundings give different points on these seeds
+    points = {}
+    for rounding in (compensated_sum, left_to_right_sum):
+        with mock.patch.object(borsuk_module, "sum", rounding, create=True):
+            with mock.patch.object(ref, "sum", rounding, create=True):
+                for seed in range(5):
+                    one, bulk = Stream(seed), Stream(seed)
+                    want = [ref.unit_vector(3, one) for _ in range(300)]
+                    assert borsuk_module._unit_vectors(3, 300, bulk).tolist() == want
+                    points[rounding, seed] = want
+    assert any(points[compensated_sum, s] != points[left_to_right_sum, s] for s in range(5))
+
+
+class ListStream:
+    """A stream that serves fixed Gaussians, one at a time or in bulk."""
+
+    def __init__(self, values):
+        self.values, self.at = list(values), 0
+
+    def gaussian(self):
+        self.at += 1
+        return self.values[self.at - 1]
+
+    def gaussians(self, count):
+        self.at += count
+        return np.array(self.values[self.at - count : self.at])
+
+
+@pytest.mark.parametrize("zero", [0, 4, 7])
+def test_bulk_points_drop_a_zero_norm_triple(zero):
+    # triple `zero` of the stream is forced to (nearly) zero: both draws drop
+    # it and take the next triple, so eight points read 27 values
+    values = Stream(5).gaussians(30).tolist()
+    values[3 * zero : 3 * zero + 3] = [0.0, 1e-10, -0.0]
+    one, bulk = ListStream(values), ListStream(values)
+    want = [ref.unit_vector(3, one) for _ in range(8)]
+    assert borsuk_module._unit_vectors(3, 8, bulk).tolist() == want
+    assert one.at == bulk.at == 27
+    assert want == [ref.unit_vector(3, ListStream(values[i : i + 3])) for i in range(0, 27, 3) if i != 3 * zero]
